@@ -44,22 +44,8 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.registry import available_compressors, make_compressor
-from repro.datagen.generator import TrajectoryGenerator
-from repro.datagen import profiles as _profiles
 from repro.error.metrics import evaluate_compression
 from repro.exceptions import ReproError
-from repro.experiments import figures as _figures
-from repro.experiments.dataset import (
-    DATASET_SEED,
-    PAPER_TABLE2,
-    paper_dataset,
-)
-from repro.experiments.reporting import (
-    render_aggregate_rows,
-    render_series_chart,
-    render_table,
-    series_by_algorithm,
-)
 from repro.pipeline.checkpoint import read_manifest
 from repro.pipeline.engine import BatchEngine, load_fleet
 from repro.pipeline.executor import execute
@@ -71,11 +57,16 @@ from repro.trajectory.trajectory import Trajectory
 
 __all__ = ["main", "build_parser"]
 
-_PROFILES = {
-    "urban": _profiles.URBAN,
-    "rural": _profiles.RURAL,
-    "highway": _profiles.HIGHWAY,
-}
+# ``repro.datagen`` (which pulls in networkx) and ``repro.experiments``
+# are imported by the commands that use them, so that serving processes
+# never pay for them. The parser's choices are spelled out here instead;
+# tests pin them to their sources.
+#: The generator's movement profiles (``repro.datagen.profiles``).
+_PROFILE_NAMES = ("highway", "rural", "urban")
+#: The paper's figures (``repro.experiments.figures.ALL_FIGURES``).
+_FIGURE_IDS = ("fig07", "fig08", "fig09", "fig10", "fig11")
+#: ``repro.experiments.dataset.DATASET_SEED``.
+_DATASET_SEED = 2004
 
 #: Parameters each algorithm accepts: maps CLI options to ctor kwargs.
 _EPSILON_ALGOS = {
@@ -106,6 +97,8 @@ def _save_trajectory(traj: Trajectory, path: Path) -> None:
 
 
 def _stats_table(traj: Trajectory) -> str:
+    from repro.experiments.reporting import render_table
+
     stats = trajectory_stats(traj)
     return render_table(
         ["statistic", "value"],
@@ -221,7 +214,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    profile = _PROFILES[args.profile]
+    from repro.datagen import profiles
+    from repro.datagen.generator import TrajectoryGenerator
+
+    profile = getattr(profiles, args.profile.upper())
     if args.length_km is not None:
         profile = profile.with_length(args.length_km * 1000.0)
     generator = TrajectoryGenerator(seed=args.seed)
@@ -233,6 +229,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_dataset(args: argparse.Namespace) -> int:
+    from repro.experiments.dataset import paper_dataset
+
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = paper_dataset(args.seed)
@@ -248,6 +246,14 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
+    from repro.experiments import figures as _figures
+    from repro.experiments.dataset import DATASET_SEED, paper_dataset
+    from repro.experiments.reporting import (
+        render_aggregate_rows,
+        render_series_chart,
+        series_by_algorithm,
+    )
+
     wanted = sorted(_figures.ALL_FIGURES) if args.figure == "all" else [args.figure]
     if args.quick:
         dataset = paper_dataset(DATASET_SEED)[:3]
@@ -328,6 +334,7 @@ def _collect_input_files(entries: list[str]) -> list[Path]:
 
 def _cmd_flow(args: argparse.Namespace) -> int:
     from repro.analysis import occupancy_grid, od_matrix, speed_over_time
+    from repro.experiments.reporting import render_table
 
     paths = _collect_input_files(args.inputs)
     if not paths:
@@ -383,6 +390,9 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 
 
 def _cmd_table2(args: argparse.Namespace) -> int:
+    from repro.experiments.dataset import PAPER_TABLE2, paper_dataset
+    from repro.experiments.reporting import render_table
+
     dataset = paper_dataset(args.seed)
     # Per-trajectory statistics go through the pipeline executor (the
     # dataset itself is generated sequentially — one seeded RNG stream).
@@ -411,6 +421,8 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
+    from repro.experiments.reporting import render_table
+
     paths = _collect_input_files(args.inputs)
     if not paths:
         raise ReproError("no trajectory files found")
@@ -881,6 +893,8 @@ def _query_remote(args: argparse.Namespace) -> dict:
 
 
 def _print_query_result(kind: str, result: dict) -> None:
+    from repro.experiments.reporting import render_table
+
     if kind == "position":
         bound = result.get("error_bound_m")
         margin = "no error bound" if bound is None else f"±{bound:g} m"
@@ -1083,7 +1097,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.set_defaults(func=_cmd_report)
 
     p_generate = sub.add_parser("generate", help="generate a synthetic trajectory")
-    p_generate.add_argument("--profile", choices=sorted(_PROFILES), default="urban")
+    p_generate.add_argument("--profile", choices=_PROFILE_NAMES, default="urban")
     p_generate.add_argument("--seed", type=int, default=0)
     p_generate.add_argument("--length-km", type=float, default=None)
     p_generate.add_argument("--object-id", default=None)
@@ -1094,14 +1108,14 @@ def build_parser() -> argparse.ArgumentParser:
         "dataset", help="materialize the standard evaluation dataset as CSVs"
     )
     p_dataset.add_argument("output_dir")
-    p_dataset.add_argument("--seed", type=int, default=DATASET_SEED)
+    p_dataset.add_argument("--seed", type=int, default=_DATASET_SEED)
     p_dataset.set_defaults(func=_cmd_dataset)
 
     p_figures = sub.add_parser(
         "figures", help="regenerate the paper's evaluation figures as tables"
     )
     p_figures.add_argument(
-        "figure", choices=[*sorted(_figures.ALL_FIGURES), "all"], default="all",
+        "figure", choices=[*_FIGURE_IDS, "all"], default="all",
         nargs="?",
     )
     p_figures.add_argument(
@@ -1153,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_flow.set_defaults(func=_cmd_flow)
 
     p_table2 = sub.add_parser("table2", help="regenerate the Table 2 comparison")
-    p_table2.add_argument("--seed", type=int, default=DATASET_SEED)
+    p_table2.add_argument("--seed", type=int, default=_DATASET_SEED)
     p_table2.add_argument("--workers", "-w", type=int, default=0,
                           help="worker processes for the per-trip statistics")
     p_table2.set_defaults(func=_cmd_table2)

@@ -19,12 +19,9 @@ because
   :meth:`~repro.trajectory.trajectory.Trajectory.position_at` code path
   on the same float values.
 
-Time/space prefilters deliberately use summaries rather than the
-catalog's pre-quantization extents: decoded geometry can shift by up to
-half a quantum, and the summaries are the bounds that are conservative
-with respect to what a decode actually returns. The spatial candidate
-sweep pads the query box by one coordinate quantum for the same reason
-(the grid index is built from pre-quantization samples).
+The store's catalog extents, grid index and interval index are all
+built from decoded points, so candidate sweeps need no padding for
+quantization; summaries then prune partitions within each candidate.
 """
 
 from __future__ import annotations
@@ -225,14 +222,10 @@ class QueryEngine:
             return out
         stats = _QueryStats()
         with self._registry().timer("query.window.s").time():
-            # Pad by one coordinate quantum: the grid index covers
-            # pre-quantization samples, the answer is defined on decoded
-            # (quantized) geometry.
-            pad = self.store.coord_resolution_m
-            if mode == "possibly":
-                pad += self.store.max_sync_error_bound()
+            sweep = box.expanded(self.store.max_sync_error_bound()) \
+                if mode == "possibly" else box
             out = []
-            for key in sorted(self.store.spatial_candidates(box.expanded(pad))):
+            for key in sorted(self.store.spatial_candidates(sweep)):
                 rec = self.store.record(key)
                 effective = effective_query_box(box, rec, mode)
                 if effective is None:
@@ -301,12 +294,8 @@ class QueryEngine:
         target = np.array([x, y])
         stats = _QueryStats()
         with self._registry().timer("query.nearest.s").time():
-            # The interval index holds catalog (pre-quantization)
-            # intervals; pad by one time quantum so no object whose
-            # decoded interval covers ``when`` is missed.
-            pad = self.store.time_resolution_s
             entries: list[tuple[float, str]] = []
-            for key in self.store.query_time_window(when - pad, when + pad):
+            for key in self.store.query_time_window(when, when):
                 summary = self.store.summary(key)
                 bound = math.inf
                 for part in summary.partitions:

@@ -13,6 +13,7 @@ few-hundred-metre cell size stay small.
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Sequence
 
 import numpy as np
 
@@ -49,42 +50,57 @@ class GridIndex:
     def _cell_of(self, x: float, y: float) -> tuple[int, int]:
         return (int(np.floor(x / self.cell_size_m)), int(np.floor(y / self.cell_size_m)))
 
-    def _cells_of_segment(
-        self, p0: np.ndarray, p1: np.ndarray
-    ) -> set[tuple[int, int]]:
-        """Conservative cell cover of one segment (its bbox's cells).
-
-        For segments shorter than a few cells — the common case at GPS
-        sampling rates — the bbox cover adds at most a constant factor
-        over an exact supercover walk.
-        """
-        min_x, max_x = sorted((float(p0[0]), float(p1[0])))
-        min_y, max_y = sorted((float(p0[1]), float(p1[1])))
-        c0x, c0y = self._cell_of(min_x - _COVER_MARGIN_M, min_y - _COVER_MARGIN_M)
-        c1x, c1y = self._cell_of(max_x + _COVER_MARGIN_M, max_y + _COVER_MARGIN_M)
-        return {
-            (cx, cy)
-            for cx in range(c0x, c1x + 1)
-            for cy in range(c0y, c1y + 1)
-        }
-
     def insert(self, object_id: str, xy: np.ndarray) -> None:
         """Register a trajectory's sample polyline under ``object_id``.
 
         Re-inserting an id replaces its previous registration.
         """
-        if object_id in self._object_cells:
-            self.remove(object_id)
-        xy = np.asarray(xy, dtype=float)
-        cells: set[tuple[int, int]] = set()
-        if xy.shape[0] == 1:
-            cells |= self._cells_of_segment(xy[0], xy[0])
-        else:
-            for i in range(xy.shape[0] - 1):
-                cells |= self._cells_of_segment(xy[i], xy[i + 1])
-        for cell in cells:
-            self._cells[cell].add(object_id)
-        self._object_cells[object_id] = cells
+        self.insert_many([object_id], np.asarray(xy, dtype=float), [0], [len(xy)])
+
+    def insert_many(
+        self,
+        object_ids: Sequence[str],
+        xy: np.ndarray,
+        firsts: Sequence[int] | np.ndarray,
+        counts: Sequence[int] | np.ndarray,
+    ) -> None:
+        """Register polyline ``j`` = rows ``firsts[j]:+counts[j]`` of ``xy``
+        (at least one) under ``object_ids[j]``, all in one numpy pass.
+
+        A polyline covers the padded bounding-box cells of its segments
+        (a lone point: its own cell) — for segments a few cells long at
+        most, within a constant factor of an exact supercover walk.
+        Re-registering an id, even later in the same call, replaces it.
+        """
+        firsts = np.asarray(firsts, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        # Segment i joins rows p0 and p0 + 1; a lone point is (p0, p0).
+        n_segments = np.maximum(counts - 1, 1)
+        owner = np.repeat(np.arange(counts.size), n_segments)
+        p0 = np.arange(int(n_segments.sum())) + np.repeat(
+            firsts - (n_segments.cumsum() - n_segments), n_segments
+        )
+        p1 = p0 + (counts[owner] > 1)
+        lo = np.minimum(xy[p0], xy[p1]) - _COVER_MARGIN_M
+        hi = np.maximum(xy[p0], xy[p1]) + _COVER_MARGIN_M
+        c0 = np.floor(lo / self.cell_size_m).astype(np.int64)
+        c1 = np.floor(hi / self.cell_size_m).astype(np.int64)
+        # Enumerate every segment's cell rectangle; the sets drop repeats.
+        height = c1[:, 1] - c0[:, 1] + 1
+        size = (c1[:, 0] - c0[:, 0] + 1) * height
+        segment = np.repeat(np.arange(size.size), size)
+        local = np.arange(int(size.sum())) - np.repeat(size.cumsum() - size, size)
+        cx = c0[segment, 0] + local // height[segment]
+        cy = c0[segment, 1] + local % height[segment]
+        covers: list[set[tuple[int, int]]] = [set() for _ in object_ids]
+        for j, cell in zip(owner[segment].tolist(), zip(cx.tolist(), cy.tolist())):
+            covers[j].add(cell)
+        for object_id, cells in zip(object_ids, covers):
+            if object_id in self._object_cells:
+                self.remove(object_id)
+            for cell in cells:
+                self._cells[cell].add(object_id)
+            self._object_cells[object_id] = cells
 
     def remove(self, object_id: str) -> None:
         """Unregister an id; unknown ids are ignored."""

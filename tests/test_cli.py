@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.trajectory import read_csv, read_json, write_csv
 
@@ -243,6 +248,39 @@ class TestParser:
             main(["--version"])
         assert excinfo.value.code == 0
         assert f"repro {__version__}" in capsys.readouterr().out
+
+    def test_choices_match_their_sources(self):
+        from repro import cli
+        from repro.datagen import profiles
+        from repro.experiments.dataset import DATASET_SEED
+        from repro.experiments.figures import ALL_FIGURES
+
+        assert cli._PROFILE_NAMES == ("highway", "rural", "urban")
+        for name in cli._PROFILE_NAMES:
+            assert isinstance(getattr(profiles, name.upper()), profiles.WorkloadProfile)
+        assert cli._FIGURE_IDS == tuple(sorted(ALL_FIGURES))
+        assert cli._DATASET_SEED == DATASET_SEED
+
+
+class TestImportFootprint:
+    def test_cli_import_skips_generator_and_experiments(self):
+        """Every ``repro serve`` process, router and fleet worker imports
+        the CLI; the synthetic-data generator (networkx) and the
+        experiment harness must stay out of that import."""
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in sys.modules if m == 'networkx' "
+            "or m.startswith(('repro.datagen', 'repro.experiments'))))"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestCleanExit:
