@@ -5,8 +5,8 @@ every query scans the whole catalog would erase the wins compression
 buys. This bench ingests fleets of increasing size (synthetic commutes,
 compressed with TD-TR) and measures per-query latency of the three query
 kinds, asserting that a 8x fleet costs far less than 8x per query for the
-index-served lookups (grid cells for rectangles, endpoint bisection for
-time windows).
+catalog-served lookups (one numpy mask over every record's decoded time
+span and bbox picks the candidates of time windows and rectangles).
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ from repro.pipeline import (
     FailurePolicy,
     ItemFailure,
     ItemResult,
-    Metrics,
 )
 from repro.storage import TrajectoryStore
 from repro.streaming import (
@@ -88,7 +87,6 @@ __all__ = [
     "Fix",
     "ItemFailure",
     "ItemResult",
-    "Metrics",
     "NOPW",
     "OPERB",
     "OPWSP",

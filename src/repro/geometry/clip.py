@@ -1,8 +1,10 @@
 """Segment-rectangle intersection (Liang–Barsky clipping).
 
-Used by the spatial index to verify candidate matches exactly: a
-trajectory passes through a query rectangle iff at least one of its
-segments intersects it, even when no sample point falls inside.
+The exact predicate behind window queries: a trajectory passes through
+a query rectangle iff at least one of its segments intersects it, even
+when no sample point falls inside. A segment never meets a box its own
+closed bbox misses, so any bbox prefilter (the store's catalog, the
+partition summaries) is a true superset of this predicate.
 """
 
 from __future__ import annotations
@@ -23,15 +25,23 @@ def clip_segment_to_bbox(
     ``0 <= u_enter <= u_exit <= 1`` when the segment intersects the closed
     rectangle, else ``None``.
     """
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    u0, u1 = 0.0, 1.0
     # Plain Python floats: near-zero deltas divide to +-inf silently
     # (numpy scalars would emit overflow warnings), and inf parameters
     # clamp correctly below.
+    x0, y0, x1, y1 = float(p0[0]), float(p0[1]), float(p1[0]), float(p1[1])
+    # The clipping divisions round: without this test a segment ending
+    # an ulp short of the box could still be reported as a hit.
+    if (
+        max(x0, x1) < box.min_x
+        or min(x0, x1) > box.max_x
+        or max(y0, y1) < box.min_y
+        or min(y0, y1) > box.max_y
+    ):
+        return None
+    u0, u1 = 0.0, 1.0
     for delta, low, high, origin in (
-        (float(p1[0] - p0[0]), box.min_x, box.max_x, float(p0[0])),
-        (float(p1[1] - p0[1]), box.min_y, box.max_y, float(p0[1])),
+        (x1 - x0, box.min_x, box.max_x, x0),
+        (y1 - y0, box.min_y, box.max_y, y0),
     ):
         if delta == 0.0:
             if origin < low or origin > high:

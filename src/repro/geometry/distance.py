@@ -139,9 +139,9 @@ def point_segment_distances(
     """Vectorized distance from each row of ``points`` to segment ``a``–``b``.
 
     Unlike :func:`perpendicular_distances`, positions beyond the segment
-    ends are measured to the nearest endpoint. Used by the spatial index
-    and by error diagnostics, not by the paper's discard tests (which use
-    the infinite-line distance, as in the original DP formulation).
+    ends are measured to the nearest endpoint. Used by error
+    diagnostics, not by the paper's discard tests (which use the
+    infinite-line distance, as in the original DP formulation).
     """
     pts = np.asarray(points, dtype=float)
     a = np.asarray(a, dtype=float)

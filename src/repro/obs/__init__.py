@@ -4,12 +4,11 @@ One stdlib-only layer shared by every subsystem (see
 ``docs/OBSERVABILITY.md``):
 
 * :class:`Registry` — named counters, gauges, timers and fixed-bucket
-  histograms with get-or-create semantics; the generalization of the
-  old ``repro.pipeline.metrics.Metrics`` (which remains as a deprecated
-  shim). Explicit registries (pipeline runs, serve instances) are
-  always live; the ambient :func:`get_registry` that the kernel and
-  storage layers sample into is opt-in (``REPRO_OBS=1`` /
-  :func:`enable`) so library calls stay near-zero overhead by default.
+  histograms with get-or-create semantics. Explicit registries
+  (pipeline runs, serve instances) are always live; the ambient
+  :func:`get_registry` that the kernel and storage layers sample into
+  is opt-in (``REPRO_OBS=1`` / :func:`enable`) so library calls stay
+  near-zero overhead by default.
 * :func:`span` — tracing context managers with monotonic timing,
   parent/child nesting and a bounded ring buffer (``REPRO_TRACE=1`` /
   :func:`configure_tracing`).

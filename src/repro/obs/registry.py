@@ -1,7 +1,6 @@
 """The shared instrument registry: counters, gauges, timers, histograms.
 
-This module generalizes what used to be ``repro.pipeline.metrics`` into
-the process-wide observability layer every subsystem shares. A
+The process-wide observability layer every subsystem shares. A
 :class:`Registry` owns named instruments with get-or-create semantics;
 the batch pipeline, the ingestion service, the storage layer and the
 compression kernels all sample into one. Everything is stdlib-only and

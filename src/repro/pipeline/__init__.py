@@ -5,11 +5,10 @@ The fleet-scale layer over :mod:`repro.core`: a
 directory / store of trajectories through any registered compressor on
 a process pool (or inline), isolates per-item failures under a
 ``raise``/``skip``/``retry(n)`` policy, and aggregates per-item samples
-into a JSON-exportable :class:`~repro.obs.Registry` (the deprecated
-``Metrics`` alias remains for one release). The experiment harness
-(:func:`repro.experiments.run_sweep`),
-the storage ingestor and the ``repro pipeline`` / ``flow`` / ``table2``
-CLI commands all run on this one code path.
+into a JSON-exportable :class:`~repro.obs.Registry`. The experiment
+harness (:func:`repro.experiments.run_sweep`), the storage ingestor and
+the ``repro pipeline`` / ``flow`` / ``table2`` CLI commands all run on
+this one code path.
 """
 
 from repro.pipeline.checkpoint import RunCheckpoint, read_manifest
@@ -28,30 +27,16 @@ from repro.pipeline.executor import (
     execute,
     summarize_traceback,
 )
-from repro.pipeline.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Histogram,
-    Metrics,
-    Registry,
-    Timer,
-)
 
 __all__ = [
     "BatchEngine",
     "BatchRunResult",
-    "Counter",
-    "DEFAULT_BUCKETS",
     "FailurePolicy",
-    "Histogram",
     "ItemFailure",
     "ItemResult",
     "ItemSuccess",
     "MalformedItemError",
-    "Metrics",
-    "Registry",
     "RunCheckpoint",
-    "Timer",
     "execute",
     "iter_fleet",
     "load_fleet",

@@ -19,9 +19,10 @@ because
   :meth:`~repro.trajectory.trajectory.Trajectory.position_at` code path
   on the same float values.
 
-The store's catalog extents, grid index and interval index are all
-built from decoded points, so candidate sweeps need no padding for
-quantization; summaries then prune partitions within each candidate.
+Candidates come from one mask over the store's catalog of decoded
+time spans and bboxes (:meth:`TrajectoryStore.candidates`), so the
+sweep needs no padding for quantization; summaries then prune
+partitions within each candidate.
 """
 
 from __future__ import annotations
@@ -208,8 +209,8 @@ class QueryEngine:
         the answer is defined on decoded geometry: an object matches
         when an in-window sample lies in the (mode-adjusted) box or an
         in-window segment intersects it — identical to
-        :meth:`TrajectoryStore.query_bbox` restricted to the window, but
-        computed from only the partitions that survive pruning.
+        :func:`~repro.query.baseline.brute_window`, but computed from
+        only the partitions that survive pruning.
         """
         t0, t1 = float(t0), float(t1)
         if t1 < t0:
@@ -225,16 +226,12 @@ class QueryEngine:
             sweep = box.expanded(self.store.max_sync_error_bound()) \
                 if mode == "possibly" else box
             out = []
-            for key in sorted(self.store.spatial_candidates(sweep)):
+            for key in self.store.candidates(t0, t1, sweep):
                 rec = self.store.record(key)
                 effective = effective_query_box(box, rec, mode)
-                if effective is None:
+                if effective is None or not rec.bbox.intersects(effective):
                     continue
                 summary = self.store.summary(key)
-                if not summary.overlaps_window(t0, t1):
-                    continue
-                if not summary.bbox.intersects(effective):
-                    continue
                 if self._window_hit(rec, summary, t0, t1, effective, stats):
                     out.append(key)
         self._flush("window", stats)

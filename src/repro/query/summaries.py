@@ -116,7 +116,8 @@ class ObjectSummary:
     object_id: str
     n_points: int
     partitions: tuple[PartitionSummary, ...]
-    #: Union of the partition spans/boxes — the record-level prefilter.
+    #: Union of the partition spans/boxes (queries prefilter on the
+    #: store's catalog of exact decoded extents instead).
     t_lo: float
     t_hi: float
     bbox: BBox
@@ -142,10 +143,6 @@ class ObjectSummary:
                 max(p.bbox.max_y for p in parts),
             ),
         )
-
-    def overlaps_window(self, t0: float, t1: float) -> bool:
-        """True when the record's quantized time span intersects ``[t0, t1]``."""
-        return self.t_lo <= t1 and self.t_hi >= t0
 
     def to_wire(self) -> dict:
         """JSON-friendly form for the serve ``summaries`` verb.

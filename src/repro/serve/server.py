@@ -777,9 +777,10 @@ class TrajectoryServer:
                 f"'k' must be a positive integer, got {k!r}", code="bad-request"
             )
         overlays = self._overlays()
-        # Ask for k extra stored answers per overlaid id: an overlay
-        # may supersede a stored answer occupying one of the k slots.
-        stored = self.engine.nearest(x, y, when, k=k + len(overlays))
+        # Ask for one extra stored answer per overlaid id that is also
+        # stored: only such an overlay can supersede one of the k slots.
+        shadowed = sum(1 for session_id in overlays if session_id in self.store)
+        stored = self.engine.nearest(x, y, when, k=k + shadowed)
         ranked = [
             (a.distance_m, a.object_id, a.x, a.y, a.error_bound_m, "stored")
             for a in stored

@@ -1,10 +1,11 @@
-"""Compressed moving-object storage: codec, spatial index, store.
+"""Compressed moving-object storage: codec, streaming ingest, store.
 
 The applied payoff of the paper's algorithms: a
 :class:`TrajectoryStore` that point-compresses trajectories at ingest,
 keeps them as delta/varint blobs, and serves reconstruction,
 position-at-time, time-window and rectangle queries with storage
-accounting.
+accounting. One catalog of each record's decoded time span and bbox
+prunes every query; :mod:`repro.query` answers the rest.
 """
 
 from repro.storage.codec import (
@@ -16,14 +17,10 @@ from repro.storage.codec import (
     unzigzag,
     zigzag,
 )
-from repro.storage.index import GridIndex
-from repro.storage.interval_index import IntervalIndex
 from repro.storage.ingest import StreamIngestor
 from repro.storage.store import StoreStats, StoredRecord, TrajectoryStore
 
 __all__ = [
-    "GridIndex",
-    "IntervalIndex",
     "StoreStats",
     "StreamIngestor",
     "StoredRecord",

@@ -10,8 +10,10 @@ application needs:
   (:meth:`TrajectoryStore.position_at`) via the piecewise-linear model,
 * time-window and spatial-rectangle queries
   (:meth:`TrajectoryStore.query_time_window`,
-  :meth:`TrajectoryStore.query_bbox`), the latter backed by a grid index
-  with exact verification,
+  :meth:`TrajectoryStore.query_bbox`), both pruned by one catalog of
+  each record's decoded time span and bbox
+  (:meth:`TrajectoryStore.candidates`); rectangle and nearest queries
+  are thin delegates of :class:`~repro.query.engine.QueryEngine`,
 * storage accounting (:meth:`TrajectoryStore.stats`) that quantifies the
   paper's motivating arithmetic,
 * single-file persistence (:meth:`TrajectoryStore.save` /
@@ -29,12 +31,14 @@ ones.
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,7 +50,6 @@ from repro.exceptions import (
     StorageError,
 )
 from repro.geometry.bbox import BBox
-from repro.geometry.clip import segment_intersects_bbox
 from repro.io_util import crc32, write_atomic
 from repro.obs import Registry, get_registry, span
 from repro.query.summaries import (
@@ -65,9 +68,10 @@ from repro.storage.codec import (
     encode_trajectory,
     raw_size_bytes,
 )
-from repro.storage.index import GridIndex
-from repro.storage.interval_index import IntervalIndex
 from repro.trajectory.trajectory import Trajectory
+
+if TYPE_CHECKING:  # the engine module imports this one
+    from repro.query.engine import QueryEngine
 
 __all__ = [
     "StoredRecord",
@@ -153,7 +157,8 @@ class TrajectoryStore:
     Args:
         compressor: applied to every ingested trajectory unless an
             ``insert`` call overrides it; ``None`` stores raw points.
-        cell_size_m: grid-index cell size.
+        cell_size_m: accepted for compatibility and has no effect (the
+            store no longer keeps a grid index).
         time_resolution_s / coord_resolution_m: codec quanta.
         cache_size: number of decoded trajectories kept in the LRU cache.
         summary_partition_points / summary_grid_m / summary_time_grid_s:
@@ -191,8 +196,10 @@ class TrajectoryStore:
         )
         self._records: dict[str, StoredRecord] = {}
         self._summaries: dict[str, ObjectSummary] = {}
-        self._index = GridIndex(cell_size_m)
-        self._time_index = IntervalIndex()
+        #: The query catalog: sorted ids and their decoded extents, one
+        #: row ``(start, end, min_x, min_y, max_x, max_y)`` per id;
+        #: ``None`` after a mutation, rebuilt on the next lookup.
+        self._catalog: tuple[np.ndarray, np.ndarray] | None = None
         self._cache: OrderedDict[str, Trajectory] = OrderedDict()
         self._cache_size = cache_size
         #: Human-readable reasons for records dropped by
@@ -358,8 +365,8 @@ class TrajectoryStore:
     ) -> list[StoredRecord | ReproError]:
         """Decode a batch of blobs in one numpy pass; register the healthy ones.
 
-        Every mutation path ends here, so catalog extents and grid cells
-        always come from decoded points (the floats
+        Every mutation path ends here, so catalog extents always come
+        from decoded points (the floats
         :func:`decode_trajectory` returns) and survive save and load
         unchanged. The batch pass makes :func:`decode_trajectory`'s
         checks; a blob failing them is decoded alone for its error.
@@ -390,7 +397,6 @@ class TrajectoryStore:
         lows = np.minimum.reduceat(xy, firsts).tolist()
         highs = np.maximum.reduceat(xy, firsts).tolist()
         results: list[StoredRecord | ReproError] = []
-        registered: list[int] = []
         for j, (key, blob, layout, n_raw, bound) in enumerate(batch):
             key = key or layout.object_id
             if not (key and errors[j] is None and healthy[j] and blob_crc_ok(blob, layout)):
@@ -406,7 +412,7 @@ class TrajectoryStore:
             record = StoredRecord(key, blob, n_raw, layout.n_points, starts[j], ends[j],
                                   BBox(*lows[j], *highs[j]), bound)
             self._records[key] = record
-            self._time_index.insert(key, record.start_time, record.end_time)
+            self._catalog = None
             if summarize:
                 self._summaries[key] = build_summary(
                     key, blob, self.summary_config, rows[firsts[j] : firsts[j] + counts[j]]
@@ -414,10 +420,7 @@ class TrajectoryStore:
             else:
                 self._summaries.pop(key, None)
             self._cache.pop(key, None)
-            registered.append(j)
             results.append(record)
-        self._index.insert_many([results[j].object_id for j in registered],  # type: ignore[union-attr]
-                                xy, firsts[registered], counts[registered])
         return results
 
     def merge_from(self, other: "TrajectoryStore", *, replace: bool = False) -> int:
@@ -447,9 +450,8 @@ class TrajectoryStore:
             raise ObjectNotFoundError(object_id)
         del self._records[object_id]
         self._summaries.pop(object_id, None)
-        self._index.remove(object_id)
-        self._time_index.remove(object_id)
         self._cache.pop(object_id, None)
+        self._catalog = None
 
     # ------------------------------------------------------------------ #
     # Retrieval
@@ -517,10 +519,6 @@ class TrajectoryStore:
             self._summaries[object_id] = summary
         return summary
 
-    def spatial_candidates(self, box: BBox) -> set[str]:
-        """Grid-index candidates for ``box`` (superset of the truth)."""
-        return self._index.candidates(box)
-
     def max_sync_error_bound(self) -> float:
         """The largest recorded error margin (0.0 when none are known)."""
         return max(
@@ -532,12 +530,48 @@ class TrajectoryStore:
     # Queries
     # ------------------------------------------------------------------ #
 
-    def query_time_window(self, t0: float, t1: float) -> list[str]:
-        """Ids whose stored time interval overlaps ``[t0, t1]``.
+    def candidates(
+        self, t0: float, t1: float, box: BBox | None = None
+    ) -> list[str]:
+        """Ids whose time span meets ``[t0, t1]`` and, given ``box``, whose
+        bbox meets it too; sorted.
 
-        Served by the endpoint interval index in O(log n + answers).
+        One closed-comparison mask over the catalog of decoded extents:
+        the time test is exact, and the box test admits every record one
+        of whose samples or segments touches ``box`` (a segment only
+        meets a box its own bbox meets; see :mod:`repro.geometry.clip`).
+
+        Raises:
+            ValueError: for a reversed window.
         """
-        return self._time_index.overlapping(t0, t1)
+        if t1 < t0:
+            raise ValueError(f"empty time window [{t0}, {t1}]")
+        if self._catalog is None:
+            ids = sorted(self._records)
+            extents = itertools.chain.from_iterable(
+                (rec.start_time, rec.end_time,
+                 rec.bbox.min_x, rec.bbox.min_y, rec.bbox.max_x, rec.bbox.max_y)
+                for rec in map(self._records.__getitem__, ids)
+            )
+            self._catalog = (
+                np.array(ids, dtype=object),
+                np.fromiter(extents, float, 6 * len(ids)).reshape(-1, 6),
+            )
+        ids, extents = self._catalog
+        start, end, min_x, min_y, max_x, max_y = extents.T
+        keep = (start <= t1) & (end >= t0)
+        if box is not None:
+            keep &= (min_x <= box.max_x) & (min_y <= box.max_y)
+            keep &= (max_x >= box.min_x) & (max_y >= box.min_y)
+        return ids[keep].tolist()
+
+    def query_time_window(self, t0: float, t1: float) -> list[str]:
+        """Ids whose stored time interval overlaps the closed ``[t0, t1]``.
+
+        Raises:
+            ValueError: for a reversed window.
+        """
+        return self.candidates(t0, t1)
 
     def query_bbox(
         self,
@@ -561,46 +595,20 @@ class TrajectoryStore:
           entered the box: the box is shrunk by the margin (objects
           without a margin can never be definite).
 
+        A delegate of :meth:`QueryEngine.window
+        <repro.query.engine.QueryEngine.window>`.
+
         Args:
             box: query rectangle.
-            t0, t1: optional time window; both or neither.
+            t0, t1: optional time window; both or neither (neither asks
+                for all time).
             mode: ``"stored"``, ``"possibly"`` or ``"definitely"``.
         """
         if (t0 is None) != (t1 is None):
             raise ValueError("provide both t0 and t1, or neither")
-        if mode not in ("stored", "possibly", "definitely"):
-            raise ValueError(f"unknown query mode {mode!r}")
-        # The candidate sweep must see the widest relevant box.
-        max_bound = self.max_sync_error_bound()
-        sweep_box = box.expanded(max_bound) if mode == "possibly" else box
-        out = []
-        for key in self._index.candidates(sweep_box):
-            # Index and catalog are kept in sync by every mutation path
-            # (insert/append/adopt_record/remove) — the regression suite
-            # in tests/storage/test_index_consistency.py proves it, so a
-            # missing key here is a real invariant break and raises.
-            rec = self._records[key]
-            if t0 is not None and (rec.start_time > t1 or rec.end_time < t0):
-                continue
-            effective = self._effective_box(box, rec, mode)
-            if effective is None or not rec.bbox.intersects(effective):
-                continue
-            traj = self.get(key)
-            if t0 is not None:
-                lo = max(t0, traj.start_time)
-                hi = min(t1, traj.end_time)
-                try:
-                    traj = traj.slice_time(lo, hi)
-                except Exception:
-                    continue
-            if self._passes_through(traj, effective):
-                out.append(key)
-        return sorted(out)
-
-    @staticmethod
-    def _effective_box(box: BBox, rec: StoredRecord, mode: str) -> BBox | None:
-        """The box to test stored geometry against, per answer semantics."""
-        return effective_query_box(box, rec, mode)
+        if t0 is None or t1 is None:
+            t0, t1 = -math.inf, math.inf
+        return self._engine().window(t0, t1, box, mode)
 
     def nearest(
         self, x: float, y: float, when: float, k: int = 1
@@ -609,30 +617,20 @@ class TrajectoryStore:
 
         Positions are interpolated on the stored (compressed)
         trajectories; objects whose stored interval does not cover
-        ``when`` are not candidates.
+        ``when`` are not candidates. A delegate of
+        :meth:`QueryEngine.nearest <repro.query.engine.QueryEngine.nearest>`.
 
         Returns:
             Up to ``k`` pairs ``(object_id, distance_m)``, nearest first;
             ties broken by object id.
         """
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        target = np.array([float(x), float(y)])
-        ranked: list[tuple[float, str]] = []
-        for key in self.query_time_window(when, when):
-            position = self.get(key).position_at(when)
-            ranked.append((float(np.hypot(*(position - target))), key))
-        ranked.sort()
-        return [(key, distance) for distance, key in ranked[:k]]
+        answers = self._engine().nearest(x, y, when, k)
+        return [(answer.object_id, answer.distance_m) for answer in answers]
 
-    @staticmethod
-    def _passes_through(traj: Trajectory, box: BBox) -> bool:
-        if len(traj) == 1:
-            return box.contains_point(float(traj.x[0]), float(traj.y[0]))
-        for i in range(len(traj) - 1):
-            if segment_intersects_bbox(traj.xy[i], traj.xy[i + 1], box):
-                return True
-        return False
+    def _engine(self) -> QueryEngine:
+        from repro.query.engine import QueryEngine
+
+        return QueryEngine(self, metrics=self.metrics)
 
     # ------------------------------------------------------------------ #
     # Accounting & persistence
@@ -832,8 +830,9 @@ def effective_query_box(box: BBox, rec: StoredRecord, mode: str) -> BBox | None:
 
     Turns the recorded error margin into the three answer semantics of
     :meth:`TrajectoryStore.query_bbox` (``stored`` / ``possibly`` /
-    ``definitely``); shared by the store and the query engine so both
-    tiers answer identically.
+    ``definitely``); shared by the query engine, the brute-force
+    baseline and the serve tier's live overlay so all answer
+    identically.
     """
     if mode == "stored":
         return box

@@ -70,12 +70,12 @@ MIN_BUDGET = 2
 
 
 def _sed(pred: Fix, point: Fix, succ: Fix) -> float:
-    """Synchronized Euclidean distance of ``point`` wrt chord pred→succ."""
-    dt = succ.t - pred.t
-    ratio = (point.t - pred.t) / dt
-    sx = pred.x + ratio * (succ.x - pred.x)
-    sy = pred.y + ratio * (succ.y - pred.y)
-    return math.hypot(point.x - sx, point.y - sy)
+    """Synchronized Euclidean distance of ``point`` wrt chord pred→succ,
+    in :func:`~repro.core.kernels.sync_distances_py`'s term order."""
+    ratio = (point.t - pred.t) / (succ.t - pred.t)
+    dx = point.x - (pred.x + ratio * (succ.x - pred.x))
+    dy = point.y - (pred.y + ratio * (succ.y - pred.y))
+    return math.sqrt(dx * dx + dy * dy)
 
 
 class _Node:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 
 from repro.core.base import require_positive
+from repro.core.kernels import chord_line_distance_py
 from repro.exceptions import StreamError
 from repro.streaming.registry import register_online
 from repro.types import Fix
@@ -31,24 +32,21 @@ _CRITERIA = ("perpendicular", "synchronized")
 
 def _perpendicular_distance(fix: Fix, anchor: Fix, float_end: Fix) -> float:
     """Distance from ``fix`` to the infinite line anchor–float."""
-    abx = float_end.x - anchor.x
-    aby = float_end.y - anchor.y
-    norm = math.hypot(abx, aby)
-    if norm == 0.0:
-        return math.hypot(fix.x - anchor.x, fix.y - anchor.y)
-    cross = (fix.x - anchor.x) * aby - (fix.y - anchor.y) * abx
-    return abs(cross) / norm
+    return chord_line_distance_py(
+        fix.x, fix.y, anchor.x, anchor.y, float_end.x, float_end.y
+    )
 
 
 def _synchronized_distance(fix: Fix, anchor: Fix, float_end: Fix) -> float:
-    """Time-ratio distance from ``fix`` to the chord anchor–float."""
-    delta_e = float_end.t - anchor.t
-    if delta_e == 0.0:
-        return math.hypot(fix.x - anchor.x, fix.y - anchor.y)
-    ratio = (fix.t - anchor.t) / delta_e
-    sx = anchor.x + ratio * (float_end.x - anchor.x)
-    sy = anchor.y + ratio * (float_end.y - anchor.y)
-    return math.hypot(fix.x - sx, fix.y - sy)
+    """Time-ratio distance from ``fix`` to the chord anchor–float.
+
+    The terms of :func:`~repro.core.kernels.sync_distances_py` in its
+    order, so a distance on epsilon decides as the batch OPW-TR does.
+    """
+    ratio = (fix.t - anchor.t) / (float_end.t - anchor.t)
+    dx = fix.x - (anchor.x + ratio * (float_end.x - anchor.x))
+    dy = fix.y - (anchor.y + ratio * (float_end.y - anchor.y))
+    return math.sqrt(dx * dx + dy * dy)
 
 
 class StreamingOPW:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -40,6 +42,27 @@ class TestSegmentIntersectsBBox:
 
     def test_vertical_segment_spanning(self):
         assert segment_intersects_bbox([5, -5], [5, 15], BOX)
+
+    def test_segment_ending_an_ulp_before_the_box_misses(self):
+        """The clipping divisions round (1100 + 1e-14 is 1100), so a
+        segment ending one ulp short of the box once counted as a hit."""
+        box = BBox(math.nextafter(100.0, math.inf), 0.0, 200.0, 10.0)
+        assert not segment_intersects_bbox([-1000.0, 5.0], [100.0, 5.0], box)
+        assert not segment_intersects_bbox([-1000.0, 3.0], [100.0, 7.0], box)
+        touching = BBox(100.0, 0.0, 200.0, 10.0)
+        assert segment_intersects_bbox([-1000.0, 5.0], [100.0, 5.0], touching)
+
+    @given(
+        st.floats(-200, 200, allow_nan=False),
+        st.floats(-200, 200, allow_nan=False),
+        st.floats(-200, 200, allow_nan=False),
+        st.floats(-200, 200, allow_nan=False),
+    )
+    def test_hits_lie_inside_the_segment_bbox(self, x0, y0, x1, y1):
+        """Every bbox prefilter is a superset: a hit implies the
+        segment's own closed bbox meets the box."""
+        if segment_intersects_bbox([x0, y0], [x1, y1], BOX):
+            assert BBox.of_points(np.array([[x0, y0], [x1, y1]])).intersects(BOX)
 
 
 class TestClipInterval:

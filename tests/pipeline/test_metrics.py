@@ -1,4 +1,4 @@
-"""Tests for the metrics shim: instruments now live in repro.obs."""
+"""Tests for the pipeline's metric instruments, which live in repro.obs."""
 
 from __future__ import annotations
 
@@ -6,8 +6,7 @@ import json
 
 import pytest
 
-from repro.obs import Registry
-from repro.pipeline.metrics import DEFAULT_BUCKETS, Counter, Histogram, Metrics, Timer
+from repro.obs.registry import DEFAULT_BUCKETS, Counter, Histogram, Registry, Timer
 
 
 class TestCounter:
@@ -110,15 +109,3 @@ class TestRegistry:
         in_buckets = sum(b["count"] for b in hist["buckets"]) + hist["overflow"]
         assert in_buckets == len(sizes)
 
-
-class TestDeprecatedMetricsShim:
-    def test_metrics_warns_but_keeps_working(self):
-        with pytest.deprecated_call(match="repro.obs.Registry"):
-            metrics = Metrics()
-        assert isinstance(metrics, Registry)
-        metrics.counter("still_works").inc()
-        assert metrics.to_dict()["counters"] == {"still_works": 1}
-
-    def test_registry_does_not_warn(self, recwarn):
-        Registry().counter("quiet").inc()
-        assert not [w for w in recwarn if w.category is DeprecationWarning]

@@ -9,6 +9,8 @@ endpoints — and asserts the pruned engine answers are *identical* to
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,4 +171,23 @@ class TestDuplicateEndpointTies:
             expected = decoded.position_at(float(when))
             assert (answer.x, answer.y) == (
                 float(expected[0]), float(expected[1])
+            )
+
+    def test_segment_ending_an_ulp_before_the_box(self):
+        """A segment ending one ulp short of the box: the summaries prune
+        it and the exact predicate must agree (see test_clip.py)."""
+        t = np.array([0.0, 10.0])
+        xy = np.array([[-1000.0, 5.0], [100.0, 5.0]])
+        store = TrajectoryStore()
+        store.insert(Trajectory(t, xy, "a"))
+        end_x = float(store.get("a").xy[-1, 0])
+        box = BBox(math.nextafter(end_x, math.inf), 0.0, 200.0, 10.0)
+        engine = QueryEngine(store)
+        assert brute_window(store, 0.0, 10.0, box) == []
+        for mode in ("stored", "possibly", "definitely"):
+            assert engine.window(0.0, 10.0, box, mode) == brute_window(
+                store, 0.0, 10.0, box, mode
+            )
+            assert store.query_bbox(box, mode=mode) == brute_window(
+                store, 0.0, 10.0, box, mode
             )

@@ -86,7 +86,7 @@ class TestPosition:
 
 
 class TestWindow:
-    def test_no_box_equals_interval_index(self, store, engine):
+    def test_no_box_equals_query_time_window(self, store, engine):
         assert engine.window(0.0, 60.0) == store.query_time_window(0.0, 60.0)
         assert engine.window(1e6, 2e6) == []
 

@@ -1,14 +1,12 @@
-"""Catalog/index consistency across every mutation path.
+"""Catalog consistency across every mutation path.
 
-``TrajectoryStore.query_bbox`` looks candidate ids up in the catalog
-*unguarded* — a grid-index entry pointing at a removed or replaced
-record would be a KeyError in the read path. Historically that branch
-was an untested ``except KeyError: continue``, which would have silently
-hidden exactly that invariant break. These are the regression tests the
-store's comment points at: after any sequence of insert / append /
-adopt_record / remove, the spatial and interval indexes contain exactly
-the cataloged ids, and a query over an object's *former* location
-neither crashes nor resurrects it.
+The query engine looks candidate ids up in the records *unguarded* — a
+catalog entry pointing at a removed or replaced record would be a
+KeyError in the read path. These are the regression tests for that
+invariant: after any sequence of insert / append / adopt_record /
+remove, the catalog's spatial and time lookups contain exactly the
+cataloged ids, and a query over an object's *former* location neither
+crashes nor resurrects it.
 """
 
 from __future__ import annotations
@@ -23,13 +21,12 @@ from repro.geometry.bbox import BBox
 from repro.storage.store import TrajectoryStore
 from repro.trajectory import Trajectory
 
-# Covers every trajectory these tests create; kept small because the
-# grid index enumerates each cell the query box overlaps.
+# Covers every trajectory these tests create.
 EVERYWHERE = BBox(-5_000.0, -5_000.0, 70_000.0, 70_000.0)
 
 
 def _store() -> TrajectoryStore:
-    """Coarse cells keep the EVERYWHERE sweep a few dozen lookups."""
+    """``cell_size_m`` is still accepted, with no effect."""
     return TrajectoryStore(cell_size_m=10_000.0)
 
 
@@ -41,7 +38,7 @@ def _traj(object_id: str, t0: float, origin: float) -> Trajectory:
 
 def _assert_consistent(store: TrajectoryStore) -> None:
     cataloged = set(store.object_ids())
-    assert store.spatial_candidates(EVERYWHERE) == cataloged
+    assert set(store.candidates(-1e12, 1e12, EVERYWHERE)) == cataloged
     assert set(store.query_time_window(-1e12, 1e12)) == cataloged
     # The read path the invariant protects: no KeyError, ever.
     assert set(store.query_bbox(EVERYWHERE)) <= cataloged

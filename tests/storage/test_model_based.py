@@ -11,6 +11,8 @@ unit tests miss.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -109,6 +111,31 @@ class StoreMachine(RuleBasedStateMachine):
             if traj.start_time <= t1 and traj.end_time >= t0
         )
         assert self.store.query_time_window(t0, t1) == expected
+
+    @precondition(lambda self: self.oracle)
+    @rule(data=st.data())
+    def check_time_window_on_stored_endpoints(self, data) -> None:
+        """Closed boundaries and point windows: a window that starts or
+        ends exactly on a stored (decoded) endpoint matches, one that
+        stops an ulp short does not."""
+        object_id = data.draw(st.sampled_from(sorted(self.oracle)))
+        decoded = {key: self.store.get(key) for key in self.oracle}
+        spans = {key: (traj.start_time, traj.end_time) for key, traj in decoded.items()}
+        start, end = spans[object_id]
+        windows = [
+            (start, start),
+            (end, end),
+            (start - 50.0, start),
+            (end, end + 50.0),
+            (start - 50.0, math.nextafter(start, -math.inf)),
+            (math.nextafter(end, math.inf), end + 50.0),
+        ]
+        for index, (t0, t1) in enumerate(windows):
+            expected = sorted(
+                key for key, (lo, hi) in spans.items() if lo <= t1 and hi >= t0
+            )
+            assert (object_id in expected) == (index < 4)
+            assert self.store.query_time_window(t0, t1) == expected
 
     @rule(
         cx=st.floats(-500.0, 500.0),

@@ -92,6 +92,7 @@ class TestRetrieval:
 class TestQueries:
     def test_time_window(self, small_dataset):
         store = TrajectoryStore()
+        assert store.query_time_window(0.0, 1.0) == []  # the empty store
         a = small_dataset[0].with_object_id("early")
         b = small_dataset[1].shifted(dt=1e6).with_object_id("late")
         store.insert(a)
@@ -99,10 +100,17 @@ class TestQueries:
         assert store.query_time_window(a.start_time, a.end_time) == ["early"]
         assert store.query_time_window(b.start_time, b.end_time) == ["late"]
         assert store.query_time_window(a.start_time, b.end_time) == ["early", "late"]
+        # A one-fix object's interval is a point.
+        when = a.start_time - 1000.0
+        store.insert(Trajectory.from_points([(when, 1.0, 2.0)]), object_id="point")
+        assert store.query_time_window(when, when) == ["point"]
+        assert store.query_time_window(when, when + 4.0) == ["point"]
+        assert store.query_time_window(when + 0.1, when + 4.0) == []
 
     def test_time_window_rejects_reversed(self, store):
-        with pytest.raises(ValueError):
-            store.query_time_window(10.0, 0.0)
+        for target in (store, TrajectoryStore()):
+            with pytest.raises(ValueError):
+                target.query_time_window(10.0, 0.0)
 
     def test_bbox_query_finds_passing_trajectory(self, store, small_dataset):
         traj = small_dataset[0]
@@ -135,6 +143,12 @@ class TestQueries:
             [(0, -1000, 5), (10, 1000, 5)], )
         store.insert(traj, object_id="crosser")
         assert store.query_bbox(BBox(-10, 0, 10, 10)) == ["crosser"]
+
+    def test_bbox_single_fix_object_at_negative_coordinates(self):
+        store = TrajectoryStore()
+        store.insert(Trajectory.from_points([(0, -250, -50)]), object_id="p")
+        assert store.query_bbox(BBox(-300, -100, -200, 0)) == ["p"]
+        assert store.query_bbox(BBox(-200, -100, -100, 0)) == []
 
 
 class TestAccountingAndPersistence:

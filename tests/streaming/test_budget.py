@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernels import sync_distances_py
 from repro.core.registry import make_compressor
 from repro.exceptions import StreamError
 from repro.streaming import (
@@ -25,7 +26,7 @@ from repro.streaming import (
     make_online_compressor,
     partition_events,
 )
-from repro.streaming.budget import MIN_BUDGET
+from repro.streaming.budget import MIN_BUDGET, _sed
 from repro.types import Fix
 
 from tests.conftest import trajectories
@@ -147,6 +148,16 @@ class TestDeterminism:
 
 
 class TestSquishPriorities:
+    @settings(max_examples=200, deadline=None)
+    @given(coords=st.lists(st.floats(-1e4, 1e4), min_size=6, max_size=6),
+           spacing=st.tuples(st.floats(0.5, 60.0), st.floats(0.5, 60.0)))
+    def test_sed_is_the_kernel_sync_distance(self, coords, spacing):
+        """Priorities use the batch kernels' float expression, bit for bit."""
+        t = [0.0, spacing[0], spacing[0] + spacing[1]]
+        x, y = coords[0::2], coords[1::2]
+        pred, point, succ = (Fix(t[i], x[i], y[i]) for i in range(3))
+        assert _sed(pred, point, succ) == sync_distances_py(t, x, y, 0, 2)[0]
+
     @settings(max_examples=40, deadline=None)
     @given(stream=fix_streams(max_size=30), budget=st.integers(2, 5))
     def test_priorities_monotonically_non_decreasing(self, stream, budget):

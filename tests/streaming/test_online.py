@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -54,6 +56,39 @@ class TestBatchEquivalence:
         batch_times = traj.t[OPWSP(max_dist_error=20.0, max_speed_error=5.0).compress(traj).indices]
         streaming = StreamingOPW(20.0, "synchronized", max_speed_error=5.0)
         emitted = drain(streaming, traj)
+        np.testing.assert_array_equal([f.t for f in emitted], batch_times)
+
+
+def straddling_trajectory(criterion: str) -> tuple[Trajectory, float]:
+    """Three fixes and an epsilon on which the middle fix's distance
+    straddles: ``math.hypot`` and the kernels' ``sqrt(dx*dx + dy*dy)``
+    differ in the last bit, and epsilon is the smaller of the two."""
+    rng = np.random.default_rng(7)
+    while True:
+        px, py, bx, by = (float(v) for v in rng.uniform(-1000.0, 1000.0, 4))
+        if criterion == "synchronized":
+            # The chord returns to the anchor, so the middle fix's
+            # synchronized point is the origin.
+            bx = by = 0.0
+            values = {math.hypot(px, py), math.sqrt(px * px + py * py)}
+        else:
+            cross = abs(px * by - py * bx)
+            values = {cross / math.hypot(bx, by), cross / math.sqrt(bx * bx + by * by)}
+        if len(values) == 2:
+            traj = Trajectory.from_points([(0.0, 0.0, 0.0), (1.0, px, py), (2.0, bx, by)])
+            return traj, min(values)
+
+
+class TestDistanceOnEpsilon:
+    @pytest.mark.parametrize(
+        "batch,criterion",
+        [(NOPW, "perpendicular"), (OPWTR, "synchronized")],
+        ids=["nopw", "opw-tr"],
+    )
+    def test_streaming_decides_as_the_batch_twin(self, batch, criterion):
+        traj, epsilon = straddling_trajectory(criterion)
+        batch_times = traj.t[batch(epsilon=epsilon).compress(traj).indices]
+        emitted = drain(StreamingOPW(epsilon, criterion), traj)
         np.testing.assert_array_equal([f.t for f in emitted], batch_times)
 
 
