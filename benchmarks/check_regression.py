@@ -61,13 +61,11 @@ def _detect_kind(report: dict) -> str:
         return "kernels"
     if report.get("benchmark") == "query":
         return "query"
-    if report.get("benchmark") == "budget":
-        return "budget"
-    if "results" in report and "config" in report:
+    if "benchmark" not in report and "results" in report and "config" in report:
         return "serve"
     raise SystemExit(
         "error: cannot tell what kind of bench report this is "
-        "(expected a kernels or serve report) (exit 2)"
+        "(expected a kernels, query or serve report) (exit 2)"
     )
 
 
@@ -116,34 +114,10 @@ def _query_view(report: dict) -> tuple[dict, dict]:
     return metrics, dict(report.get("config", {}))
 
 
-def _budget_view(report: dict) -> tuple[dict, dict]:
-    """(metrics, config) for a ``bench_budget.py`` report.
-
-    The SED-at-budget ratios (online error over the offline oracle's)
-    are gated: both sides are pure functions of the deterministic
-    workload, so any growth is a real eviction-quality regression, not
-    runner noise. A *lower* ratio means the online compressor got
-    closer to the oracle — higher is worse.
-    """
-    results = report.get("results", {})
-    metrics = {}
-    for algorithm, mean_ratio in sorted(
-        results.get("sed_ratio_mean", {}).items()
-    ):
-        metrics[f"{algorithm} sed_ratio_mean"] = (float(mean_ratio), False)
-    for algorithm, curve in sorted(results.get("curves", {}).items()):
-        for point in curve:
-            metrics[f"{algorithm} sed_ratio@budget={point['budget']}"] = (
-                float(point["sed_ratio"]), False
-            )
-    return metrics, dict(report.get("config", {}))
-
-
 _VIEWS = {
     "kernels": _kernel_view,
     "serve": _serve_view,
     "query": _query_view,
-    "budget": _budget_view,
 }
 
 

@@ -700,7 +700,8 @@ class SessionManager:
 
         A session whose spec no longer parses (or whose replay fails) is
         recorded in :attr:`last_recovery_failures` and skipped; one bad
-        session never blocks the rest.
+        session never blocks the rest. The replayed batches are released
+        from the WAL's scan afterwards; only its counts stay.
 
         Returns:
             ``{"sessions": n, "fixes": n, "failed": n, "dropped_lines": n}``.
@@ -751,6 +752,7 @@ class SessionManager:
             self._sessions[rec.session_id] = session
             recovered_sessions += 1
             self.metrics.counter("sessions_recovered").inc()
+        self.wal.release_recovered()
         return {
             "sessions": recovered_sessions,
             "fixes": recovered_fixes,

@@ -309,7 +309,8 @@ class WalWriter:
     a constant of WAL-off under concurrency. Construction scans the
     directory, exposes the surviving sessions as :attr:`recovered`,
     garbage-collects fully-flushed segments, and starts a fresh segment
-    strictly after the survivors.
+    strictly after the survivors. Once the sessions are replayed,
+    :meth:`release_recovered` drops the scan's append batches.
 
     Args:
         directory: the WAL directory (created if absent).
@@ -332,6 +333,7 @@ class WalWriter:
         self.durable = durable
         self.faults = faults
         self.recovered = scan_wal(self.directory)
+        self._recovered_sessions = len(self.recovered.live_sessions)
         self._repair_torn_tail()
         self._live: "dict[int, set[str]]" = {
             index: set(members)
@@ -384,6 +386,16 @@ class WalWriter:
                 os.fsync(fd)
         finally:
             os.close(fd)
+
+    def release_recovered(self) -> None:
+        """Drop the scanned sessions once they have been replayed.
+
+        Their append batches are the bulk of the scan and live on as
+        compressor state after replay; keeping them would hold every
+        recovered fix for the server's whole life. The recovery counts
+        :meth:`stats` reports are kept.
+        """
+        self.recovered.sessions.clear()
 
     # ------------------------------------------------------------------ #
     # Staging
@@ -623,7 +635,7 @@ class WalWriter:
             "pending_records": self.pending_records,
             "commits": self._commits,
             "commit_failures": self._commit_failures,
-            "recovered_sessions": len(self.recovered.live_sessions),
+            "recovered_sessions": self._recovered_sessions,
             "recovered_records": self.recovered.records,
             "recovery_dropped_lines": self.recovered.dropped_lines,
         }

@@ -48,14 +48,14 @@ def walk(n: int, seed: int = 5) -> list[Fix]:
     return [Fix(float(i), float(xy[i, 0]), float(xy[i, 1])) for i in range(n)]
 
 
-def compressor_state(session) -> tuple:
+def compressor_state(session, eviction_logs) -> tuple:
     """Everything that defines a budget session's compressor state."""
     comp = session.compressor
     return (
         comp.budget,
         comp.buffer_snapshot(),
         comp.n_evicted,
-        comp.eviction_log,
+        eviction_logs.log(comp),
     )
 
 
@@ -194,13 +194,15 @@ class TestDegradedAdmission:
 
 
 class TestWalReplayThroughEviction:
-    def test_recovery_replays_evictions_bit_identically(self, clock, tmp_path):
+    def test_recovery_replays_evictions_bit_identically(
+        self, clock, tmp_path, eviction_logs
+    ):
         points = walk(30)
         wal = WalWriter(tmp_path / "wal", durable=False)
         manager = make_manager(clock, wal=wal)
         manager.open("s", "squish:budget=6")
         manager.append_many("s", points)
-        pre_crash = compressor_state(manager.get("s"))
+        pre_crash = compressor_state(manager.get("s"), eviction_logs)
         pre_builder = list(manager.get("s").builder.build().t)
         wal.commit_sync()
         wal.close()  # crash: nothing flushed
@@ -213,11 +215,13 @@ class TestWalReplayThroughEviction:
         assert outcome["sessions"] == 1
         session = recovered.get("s")
         assert session.recovered is True
-        assert compressor_state(session) == pre_crash
+        assert compressor_state(session, eviction_logs) == pre_crash
         assert list(session.builder.build().t) == pre_builder
         assert session.n_evicted == 24
 
-    def test_recovery_replays_through_a_renegotiation(self, clock, tmp_path):
+    def test_recovery_replays_through_a_renegotiation(
+        self, clock, tmp_path, eviction_logs
+    ):
         points = walk(40)
         wal = WalWriter(tmp_path / "wal", durable=False)
         manager = make_manager(clock, wal=wal)
@@ -225,7 +229,7 @@ class TestWalReplayThroughEviction:
         manager.append_batch("s", points[:20])
         manager.renegotiate_session("s", 8)
         manager.append_batch("s", points[20:])
-        pre_crash = compressor_state(manager.get("s"))
+        pre_crash = compressor_state(manager.get("s"), eviction_logs)
         wal.commit_sync()
         wal.close()
 
@@ -235,7 +239,7 @@ class TestWalReplayThroughEviction:
         )
         recovered.recover()
         session = recovered.get("s")
-        assert compressor_state(session) == pre_crash
+        assert compressor_state(session, eviction_logs) == pre_crash
         assert session.budget == 8
         # Continuing after recovery matches an uninterrupted run.
         more = [Fix(40.0 + float(i), float(i), 0.0) for i in range(5)]
@@ -246,8 +250,8 @@ class TestWalReplayThroughEviction:
         uninterrupted.renegotiate_session("s", 8)
         uninterrupted.append_batch("s", points[20:])
         uninterrupted.append_batch("s", more)
-        assert compressor_state(session) == compressor_state(
-            uninterrupted.get("s")
+        assert compressor_state(session, eviction_logs) == compressor_state(
+            uninterrupted.get("s"), eviction_logs
         )
 
     def test_unreported_evictions_survive_recovery(self, clock, tmp_path):

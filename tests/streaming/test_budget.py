@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernels import sync_distances_py
@@ -134,17 +134,23 @@ class TestBudgetInvariant:
 
 class TestDeterminism:
     @pytest.mark.parametrize("cls", BUDGET_CLASSES)
-    @settings(max_examples=40, deadline=None)
+    # The recorder keeps one log per compressor, so sharing it across
+    # examples is safe.
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
     @given(stream=fix_streams(max_size=30), budget=st.integers(2, 5))
     def test_eviction_order_is_a_pure_function_of_the_stream(
-        self, cls, stream, budget
+        self, cls, stream, budget, eviction_logs
     ):
         first = cls(budget=budget)
         second = cls(budget=budget)
         _, evicted_a = replay(first, stream)
         _, evicted_b = replay(second, stream)
         assert evicted_a == evicted_b
-        assert first.eviction_log == second.eviction_log
+        assert eviction_logs.log(first) == eviction_logs.log(second)
 
 
 class TestSquishPriorities:
@@ -173,7 +179,7 @@ class TestSquishPriorities:
                     assert priority >= last[point.t] - 1e-9
                 last[point.t] = priority
 
-    def test_suffix_max_error_bound(self):
+    def test_suffix_max_error_bound(self, eviction_logs):
         """SED of an evicted point wrt the final output is bounded by the
         largest eviction priority at-or-after its own eviction.
 
@@ -191,7 +197,7 @@ class TestSquishPriorities:
         ]
         compressor = StreamingSQUISH(budget=12)
         net, _ = replay(compressor, stream)
-        log = compressor.eviction_log
+        log = eviction_logs.log(compressor)
         suffix_max = [0.0] * len(log)
         running = 0.0
         for i in range(len(log) - 1, -1, -1):

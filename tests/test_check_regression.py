@@ -109,6 +109,13 @@ class TestCompare:
         code, _ = check_regression.compare(kernel_report(), serve_report())
         assert code == 2
 
+    def test_budget_report_is_refused(self):
+        """Budget curves are pinned exactly by a tier-1 test, not gated
+        here; a budget report must not pass as a serve report."""
+        budget = {"benchmark": "budget", "config": {}, "results": {}}
+        with pytest.raises(SystemExit, match="exit 2"):
+            check_regression.compare(budget, budget)
+
     def test_failed_bench_report_is_a_regression(self):
         failed = serve_report()
         failed["failed"] = True
