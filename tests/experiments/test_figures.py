@@ -1,15 +1,29 @@
-"""Tests for the figure pipelines (on a reduced grid for speed).
+"""Tests for the figure pipelines.
 
 The full-grid runs with shape assertions live in ``benchmarks/``; here we
 verify the pipelines' structure and the paper's core relations on a small
-dataset and a three-point threshold grid.
+dataset and a three-point threshold grid, and pin every figure's numeric
+series to the tables committed under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
-from repro.experiments import figure_07, figure_08, figure_09, figure_10, figure_11
+from repro.experiments import (
+    ALL_FIGURES,
+    figure_07,
+    figure_08,
+    figure_09,
+    figure_10,
+    figure_11,
+    paper_dataset,
+    render_aggregate_rows,
+)
+
+RESULTS_DIR = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 THRESHOLDS = (30.0, 60.0, 100.0)
 
@@ -77,3 +91,13 @@ class TestPaperRelationsOnSmallGrid:
         for tr_row, sp_row in zip(fig.series("opw-tr"), fig.series("opw-sp(25m/s)")):
             assert sp_row.compression_percent <= tr_row.compression_percent + 1e-9
             assert sp_row.mean_sync_error_m <= tr_row.mean_sync_error_m + 5.0
+
+
+@pytest.mark.parametrize("figure_id", sorted(ALL_FIGURES))
+def test_figure_matches_committed_table(figure_id):
+    """Figs. 7–11 on the paper dataset regenerate their committed tables
+    byte for byte: any change to a retained index or an error value
+    anywhere in the sweep shows up here."""
+    fig = ALL_FIGURES[figure_id](paper_dataset())
+    rendered = render_aggregate_rows(fig.rows, title=fig.title) + "\n"
+    assert rendered == (RESULTS_DIR / f"{figure_id}.txt").read_text()
