@@ -49,6 +49,19 @@ def _synchronized_distance(fix: Fix, anchor: Fix, float_end: Fix) -> float:
     return math.sqrt(dx * dx + dy * dy)
 
 
+def _segment_speed(start: Fix, end: Fix) -> float:
+    """Derived speed from ``start`` to ``end``.
+
+    The terms of :func:`~repro.core.kernels.segment_speeds_py` in its
+    order, so a speed jump on the threshold decides as the batch OPW-SP
+    does (``Fix.speed_to`` uses ``math.hypot``, which may differ in the
+    last bits).
+    """
+    dx = end.x - start.x
+    dy = end.y - start.y
+    return math.sqrt(dx * dx + dy * dy) / (end.t - start.t)
+
+
 class StreamingOPW:
     """Push-based opening-window compressor.
 
@@ -152,8 +165,8 @@ class StreamingOPW:
         if self.max_speed_error is None:
             return False
         window = self._window
-        v_prev = window[j - 1].speed_to(window[j])
-        v_next = window[j].speed_to(window[j + 1])
+        v_prev = _segment_speed(window[j - 1], window[j])
+        v_next = _segment_speed(window[j], window[j + 1])
         return abs(v_next - v_prev) > self.max_speed_error
 
     def _first_violation(self) -> int:

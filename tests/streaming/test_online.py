@@ -91,6 +91,26 @@ class TestDistanceOnEpsilon:
         emitted = drain(StreamingOPW(epsilon, criterion), traj)
         np.testing.assert_array_equal([f.t for f in emitted], batch_times)
 
+    def test_speed_jump_on_threshold_decides_as_the_batch_twin(self):
+        """The middle fix's speed jump is the speed threshold under the
+        kernels' ``sqrt(dx*dx + dy*dy)`` and a few ulps above it under
+        ``math.hypot``: both sides must keep only the endpoints."""
+        traj = Trajectory.from_points(
+            [
+                (0.0, 0.0, 0.0),
+                (1.0, 34.282295073918505, -87.19371235460054),
+                (2.0, 51.64604925736347, 18.219916586263523),
+            ]
+        )
+        speed = 13.143054345378616
+        batch = OPWSP(max_dist_error=1e6, max_speed_error=speed)
+        batch_times = traj.t[batch.compress(traj).indices]
+        emitted = drain(
+            make_online_compressor(f"opw-sp:epsilon=1e6,speed={speed!r}"), traj
+        )
+        np.testing.assert_array_equal([f.t for f in emitted], batch_times)
+        np.testing.assert_array_equal(batch_times, [0.0, 2.0])
+
 
 class TestStreamingBehaviour:
     def test_first_fix_emitted_immediately(self):
