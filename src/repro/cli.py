@@ -130,54 +130,44 @@ def _build_spec(spec: str):
         raise ReproError(f"bad compressor spec {spec!r}: {exc}") from None
 
 
-def _spec_with_engine(spec: str, engine: str | None) -> str:
-    """Append ``engine=<engine>`` to a spec string (flag loses to the spec)."""
-    if engine is None or "engine=" in spec:
-        return spec
-    return f"{spec}{',' if ':' in spec else ':'}engine={engine}"
-
-
 def _make_cli_compressor(args: argparse.Namespace):
     name = args.algorithm
-    engine = getattr(args, "engine", None)
     if ":" in name or "=" in name:
-        return _build_spec(_spec_with_engine(name, engine))
+        return _build_spec(name)
     if name not in available_compressors():
         raise ReproError(
             f"unknown algorithm {name!r}; available: {available_compressors()}"
         )
-    # Every registered compressor accepts the engine keyword.
-    extra = {} if engine is None else {"engine": engine}
     if name in _EPSILON_ALGOS:
         if args.epsilon is None:
             raise ReproError(f"{name} requires --epsilon")
-        return make_compressor(name, epsilon=args.epsilon, **extra)
+        return make_compressor(name, epsilon=args.epsilon)
     if name in ("opw-sp", "td-sp"):
         if args.epsilon is None or args.speed is None:
             raise ReproError(f"{name} requires --epsilon and --speed")
         return make_compressor(
-            name, max_dist_error=args.epsilon, max_speed_error=args.speed, **extra
+            name, max_dist_error=args.epsilon, max_speed_error=args.speed
         )
     if name == "every-ith":
         if args.step is None:
             raise ReproError("every-ith requires --step")
-        return make_compressor(name, step=args.step, **extra)
+        return make_compressor(name, step=args.step)
     if name == "angular":
         if args.angle is None:
             raise ReproError("angular requires --angle (radians)")
-        return make_compressor(name, max_angle_rad=args.angle, **extra)
+        return make_compressor(name, max_angle_rad=args.angle)
     if name in ("td-tr-budget", "bottom-up-budget"):
         if args.budget is None:
             raise ReproError(f"{name} requires --budget")
-        return make_compressor(name, budget=args.budget, **extra)
+        return make_compressor(name, budget=args.budget)
     if name == "bottom-up-total-error":
         if args.epsilon is None:
             raise ReproError(f"{name} requires --epsilon (the alpha budget)")
-        return make_compressor(name, max_mean_error=args.epsilon, **extra)
+        return make_compressor(name, max_mean_error=args.epsilon)
     if name == "dead-reckoning":
         if args.epsilon is None:
             raise ReproError(f"{name} requires --epsilon")
-        return make_compressor(name, epsilon=args.epsilon, **extra)
+        return make_compressor(name, epsilon=args.epsilon)
     raise ReproError(f"unknown algorithm {name!r}")  # pragma: no cover
 
 
@@ -185,7 +175,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     traj = _load_trajectory(Path(args.input))
     compressor = _make_cli_compressor(args)
     result = compressor.compress(traj)
-    report = evaluate_compression(traj, result.compressed, engine=args.engine)
+    report = evaluate_compression(traj, result.compressed)
     print(
         f"{compressor.name}: {result.n_original} -> {result.n_kept} points "
         f"({result.compression_percent:.1f}% removed)"
@@ -426,7 +416,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     paths = _collect_input_files(args.inputs)
     if not paths:
         raise ReproError("no trajectory files found")
-    spec = _spec_with_engine(args.spec, args.engine)
+    spec = args.spec
     on_error = args.on_error
     on_malformed = args.on_malformed
     evaluate = "sync"
@@ -1070,11 +1060,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="point budget (budget algorithms)")
     p_compress.add_argument("--output", "-o", default=None,
                             help="write the compressed trajectory here (.csv/.json)")
-    p_compress.add_argument(
-        "--engine", choices=("numpy", "python"), default=None,
-        help="evaluation engine: numpy (default, batch kernels) or python "
-             "(scalar reference); both produce identical output",
-    )
     p_compress.set_defaults(func=_cmd_compress)
 
     p_report = sub.add_parser(
@@ -1090,10 +1075,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--step", type=int, default=None)
     p_report.add_argument("--angle", type=float, default=None)
     p_report.add_argument("--budget", type=int, default=None)
-    p_report.add_argument(
-        "--engine", choices=("numpy", "python"), default=None,
-        help="evaluation engine: numpy (default) or python (scalar reference)",
-    )
     p_report.set_defaults(func=_cmd_report)
 
     p_generate = sub.add_parser("generate", help="generate a synthetic trajectory")
@@ -1204,11 +1185,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume", default=None,
         help="resume a checkpointed run from this directory, restoring "
              "its original configuration and skipping finished items",
-    )
-    p_pipeline.add_argument(
-        "--engine", choices=("numpy", "python"), default=None,
-        help="evaluation engine appended to the spec (spec's own engine= "
-             "wins): numpy (default) or python (scalar reference)",
     )
     p_pipeline.add_argument(
         "--metrics-json", default=None,

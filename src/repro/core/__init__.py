@@ -22,16 +22,14 @@ All algorithms select a subseries of the input's data points and always
 retain the first and last point. Use :func:`make_compressor` for
 name-based construction.
 
-Every compressor accepts ``engine="numpy" | "python"`` (default numpy;
-overridable via the ``REPRO_ENGINE`` environment variable): the numpy
-engine evaluates its discard criterion with the batch kernels of
-:mod:`repro.core.kernels`, the python engine with their scalar reference
-mirrors — both select identical indices by construction, which the
-differential conformance suite pins.
+Every discard criterion is evaluated through :mod:`repro.core.kernels`,
+which runs each sweep over a point range as a scalar loop or a numpy
+kernel depending on the range's length. The two sides are bit-identical,
+so the choice never changes a result; the differential conformance suite
+pins this.
 """
 
 from repro.core.angular import AngularChange
-from repro.core.kernels import ENGINE_ENV_VAR, ENGINES, resolve_engine
 from repro.core.base import CompressionResult, Compressor
 from repro.core.bottom_up import BottomUp
 from repro.core.budget import BottomUpBudget, BottomUpTotalError, TDTRBudget
@@ -88,8 +86,6 @@ __all__ = [
     "DeadReckoning",
     "DistanceThreshold",
     "DouglasPeucker",
-    "ENGINES",
-    "ENGINE_ENV_VAR",
     "EveryIth",
     "NOPW",
     "OPERB",
@@ -109,7 +105,6 @@ __all__ = [
     "opening_window_indices",
     "perpendicular_scan",
     "perpendicular_segment_error",
-    "resolve_engine",
     "spatiotemporal_scan",
     "speed_violations",
     "spt_paper_indices",

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.base import Compressor, require_positive
 from repro.trajectory.trajectory import Trajectory
 
@@ -38,9 +37,6 @@ class AngularChange(Compressor):
             ``(0, pi]``.
         max_gap_m: optional spatial cap on how far apart retained points
             may be; ``None`` disables it.
-        engine: accepted for registry uniformity; the last-kept-point
-            recurrence is inherently sequential, so both engines share
-            the single implementation.
     """
 
     name = "angular"
@@ -51,9 +47,7 @@ class AngularChange(Compressor):
         *,
         max_angle_rad: float,
         max_gap_m: float | None = None,
-        engine: str | None = None,
     ) -> None:
-        self.engine = kernels.resolve_engine(engine)
         self.max_angle_rad = require_positive("max_angle_rad", max_angle_rad)
         if self.max_angle_rad > np.pi:
             raise ValueError(

@@ -31,26 +31,15 @@ class BottomUp(Compressor):
         epsilon: maximum per-segment error in metres; a merge whose merged
             segment would exceed this is never performed.
         criterion: ``"perpendicular"`` or ``"synchronized"``.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable. Both engines
-            produce bitwise-equal merge costs, hence the same heap order
-            and the same retained indices.
     """
 
     name = "bottom-up"
 
-    def __init__(
-        self,
-        *,
-        epsilon: float,
-        criterion: str = "synchronized",
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, *, epsilon: float, criterion: str = "synchronized") -> None:
         self.epsilon = require_positive("epsilon", epsilon)
         if criterion not in ("perpendicular", "synchronized"):
             raise ValueError(f"unknown criterion {criterion!r}")
         self.criterion = criterion
-        self.engine = kernels.resolve_engine(engine)
 
     def sync_error_bound(self) -> float | None:
         """With the synchronized criterion every performed merge kept the
@@ -63,19 +52,7 @@ class BottomUp(Compressor):
         """Max error of the chord ``start``–``end`` over interior points."""
         if end - start < 2:
             return 0.0
-        if self.engine == "python":
-            t, x, y = traj.column_lists
-            if self.criterion == "perpendicular":
-                errors = kernels.perp_distances_py(x, y, start, end)
-            else:
-                errors = kernels.sync_distances_py(t, x, y, start, end)
-            return kernels.max_with_offset_py(errors)[0]
-        t, x, y = traj.columns
-        if self.criterion == "perpendicular":
-            errors = kernels.perp_distances(x, y, start, end)
-        else:
-            errors = kernels.sync_distances(t, x, y, start, end)
-        return float(errors.max())
+        return kernels.chord_max(traj, start, end, self.criterion)[0]
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         n = len(traj)

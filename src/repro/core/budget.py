@@ -23,26 +23,16 @@ intuition.
 from __future__ import annotations
 
 import heapq
-import math
-from functools import partial
 
 import numpy as np
 
 from repro.core import kernels
 from repro.core.base import Compressor, require_positive
-from repro.core.douglas_peucker import perpendicular_segment_error
-from repro.core.td_tr import synchronized_segment_error
 from repro.trajectory.trajectory import Trajectory
 
 __all__ = ["TDTRBudget", "BottomUpBudget", "BottomUpTotalError"]
 
 _CRITERIA = ("perpendicular", "synchronized")
-
-
-def _segment_error_fn(criterion: str, engine: str = "numpy"):
-    if criterion == "perpendicular":
-        return partial(perpendicular_segment_error, engine=engine)
-    return partial(synchronized_segment_error, engine=engine)
 
 
 class TDTRBudget(Compressor):
@@ -60,32 +50,22 @@ class TDTRBudget(Compressor):
     Args:
         budget: number of points to keep (``>= 2``).
         criterion: ``"synchronized"`` (default) or ``"perpendicular"``.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable.
     """
 
     name = "td-tr-budget"
 
-    def __init__(
-        self,
-        *,
-        budget: int,
-        criterion: str = "synchronized",
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, *, budget: int, criterion: str = "synchronized") -> None:
         if not isinstance(budget, (int, np.integer)) or budget < 2:
             raise ValueError(f"budget must be an integer >= 2, got {budget!r}")
         if criterion not in _CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}; use one of {_CRITERIA}")
         self.budget = int(budget)
         self.criterion = criterion
-        self.engine = kernels.resolve_engine(engine)
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         n = len(traj)
         if self.budget >= n:
             return np.arange(n)
-        segment_error = _segment_error_fn(self.criterion, self.engine)
         keep = {0, n - 1}
         # Max-heap on error (negated); ties broken deterministically by
         # span start for reproducible output.
@@ -94,7 +74,7 @@ class TDTRBudget(Compressor):
         def push(start: int, end: int) -> None:
             if end - start < 2:
                 return
-            error, cut = segment_error(traj, start, end)
+            error, cut = kernels.chord_max(traj, start, end, self.criterion)
             if error > 0.0:
                 heapq.heappush(heap, (-error, start, end, cut))
 
@@ -118,33 +98,22 @@ class BottomUpBudget(Compressor):
     Args:
         budget: number of points to keep (``>= 2``).
         criterion: ``"synchronized"`` (default) or ``"perpendicular"``.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable.
     """
 
     name = "bottom-up-budget"
 
-    def __init__(
-        self,
-        *,
-        budget: int,
-        criterion: str = "synchronized",
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, *, budget: int, criterion: str = "synchronized") -> None:
         if not isinstance(budget, (int, np.integer)) or budget < 2:
             raise ValueError(f"budget must be an integer >= 2, got {budget!r}")
         if criterion not in _CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}; use one of {_CRITERIA}")
         self.budget = int(budget)
         self.criterion = criterion
-        self.engine = kernels.resolve_engine(engine)
 
     def _merge_cost(self, traj: Trajectory, start: int, end: int) -> float:
-        segment_error = _segment_error_fn(self.criterion, self.engine)
         if end - start < 2:
             return 0.0
-        error, _ = segment_error(traj, start, end)
-        return error
+        return kernels.chord_max(traj, start, end, self.criterion)[0]
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         n = len(traj)
@@ -196,63 +165,18 @@ class BottomUpTotalError(Compressor):
     Args:
         max_mean_error: budget for the approximation's mean synchronized
             error, in metres.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable. Both engines
-            compute bitwise-equal span integrals (the batch α kernel
-            mirrors the scalar one, and ``math.fsum`` makes the weighted
-            sum order-independent), hence the same merge order.
     """
 
     name = "bottom-up-total-error"
 
-    def __init__(
-        self, *, max_mean_error: float, engine: str | None = None
-    ) -> None:
+    def __init__(self, *, max_mean_error: float) -> None:
         self.max_mean_error = require_positive("max_mean_error", max_mean_error)
-        self.engine = kernels.resolve_engine(engine)
 
     def _span_integral(self, traj: Trajectory, start: int, end: int) -> float:
-        """Error integral of one approx segment over its original span.
-
-        ``∫ dist(loc(p, t), chord(t)) dt`` over ``[t_start, t_end]``,
-        evaluated with the closed form per original sub-segment; the
-        difference vector is linear on each because the chord and the
-        original are both linear there.
-        """
+        """Error integral of one approx segment over its original span."""
         if end - start < 2:
             return 0.0
-        if self.engine == "python":
-            # Deferred import: repro.error.synchronized needs the batch
-            # kernels, so a module-level import here would be circular.
-            from repro.error.synchronized import segment_mean_distance
-
-            t, x, y = traj.column_lists
-            ts = t[start]
-            delta_e = t[end] - ts
-            xs, ys = x[start], y[start]
-            ex, ey = x[end] - xs, y[end] - ys
-            deltas = []
-            for i in range(start, end + 1):
-                ratio = (t[i] - ts) / delta_e
-                deltas.append(
-                    (x[i] - (xs + ratio * ex), y[i] - (ys + ratio * ey))
-                )
-            return math.fsum(
-                (t[start + i + 1] - t[start + i])
-                * segment_mean_distance(deltas[i], deltas[i + 1])
-                for i in range(end - start)
-            )
-        t, x, y = traj.columns
-        ts = t[start]
-        delta_e = t[end] - ts
-        span = slice(start, end + 1)
-        ratio = (t[span] - ts) / delta_e
-        dx = x[span] - (x[start] + ratio * (x[end] - x[start]))
-        dy = y[span] - (y[start] + ratio * (y[end] - y[start]))
-        deltas = np.column_stack((dx, dy))
-        alphas = kernels.segment_mean_distances(deltas[:-1], deltas[1:])
-        weights = t[start + 1 : end + 1] - t[start:end]
-        return math.fsum((weights * alphas).tolist())
+        return kernels.chord_integral(traj, start, end)
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         n = len(traj)

@@ -28,7 +28,6 @@ import math
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.base import Compressor, require_positive
 from repro.trajectory.trajectory import Trajectory
 
@@ -79,17 +78,13 @@ class DeadReckoning(Compressor):
             synchronized error of the result is not bounded by
             ``epsilon`` — the threshold bounds the transmitter-side
             prediction error, matching how update policies are specified.
-        engine: accepted for registry uniformity; the anchor/velocity
-            recurrence is inherently sequential, so both engines share
-            the scalar loop.
     """
 
     name = "dead-reckoning"
     online = True
 
-    def __init__(self, *, epsilon: float, engine: str | None = None) -> None:
+    def __init__(self, *, epsilon: float) -> None:
         self.epsilon = require_positive("epsilon", epsilon)
-        self.engine = kernels.resolve_engine(engine)
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         return dead_reckoning_indices(traj, self.epsilon)

@@ -16,16 +16,10 @@ Two interchangeable traversal drivers are provided:
 Both are generic over the *segment error function*, which is how
 :class:`~repro.core.td_tr.TDTR` reuses this machinery with the time-ratio
 distance instead of the perpendicular one.
-
-Orthogonally to the traversal, the segment error itself evaluates on one
-of two *engines* (see :mod:`repro.core.kernels`): ``"numpy"`` batch
-kernels (default) or the ``"python"`` scalar reference, which computes
-bit-identical values point by point.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Protocol
 
 import numpy as np
@@ -59,20 +53,10 @@ class SegmentErrorFn(Protocol):
 
 
 def perpendicular_segment_error(
-    traj: Trajectory, start: int, end: int, *, engine: str = "numpy"
+    traj: Trajectory, start: int, end: int
 ) -> tuple[float, int]:
     """NDP's segment error: max perpendicular distance to the chord line."""
-    if engine == "python":
-        _, x, y = traj.column_lists
-        error, offset = kernels.max_with_offset_py(
-            kernels.perp_distances_py(x, y, start, end)
-        )
-    else:
-        _, x, y = traj.columns
-        error, offset = kernels.max_with_offset(
-            kernels.perp_distances(x, y, start, end)
-        )
-    return error, start + 1 + offset
+    return kernels.chord_max(traj, start, end, "perpendicular")
 
 
 def top_down_indices(
@@ -150,28 +134,14 @@ class DouglasPeucker(Compressor):
         epsilon: perpendicular distance threshold in metres (the paper
             sweeps 30–100 m).
         traversal: ``"iterative"`` (default) or ``"recursive"``.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable. Both engines
-            select identical indices (the conformance suite pins this).
     """
 
     name = "ndp"
 
-    def __init__(
-        self,
-        *,
-        epsilon: float,
-        traversal: str = "iterative",
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, *, epsilon: float, traversal: str = "iterative") -> None:
         self.epsilon = require_positive("epsilon", epsilon)
         self.traversal = traversal
         self._traversal = resolve_traversal(traversal)
-        self.engine = kernels.resolve_engine(engine)
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
-        return self._traversal(
-            traj,
-            self.epsilon,
-            partial(perpendicular_segment_error, engine=self.engine),
-        )
+        return self._traversal(traj, self.epsilon, perpendicular_segment_error)

@@ -1,4 +1,4 @@
-"""Vectorized compression kernels and their scalar reference mirrors.
+"""Compression and error sweeps, each as a numpy kernel and a scalar mirror.
 
 The discard tests of every algorithm in this library reduce to a handful
 of per-chord sweeps: the synchronized (time-ratio) distance of Eqs. 1–2,
@@ -8,39 +8,43 @@ Sect. 4.2. This module implements each sweep twice:
 
 * a **NumPy kernel** (``sync_distances``, ``perp_distances``,
   ``segment_speeds``, ``speed_deltas``, ``segment_mean_distances``,
-  ``chord_point_distances``, ``chord_line_distances``) — the production
-  fast path, batch-evaluating a whole point range per call; and
-* a **scalar reference mirror** (the ``*_py`` functions) — a faithful
-  point-by-point port in pure Python, kept as the executable
-  specification the fast path is differentially tested against.
+  ``chord_point_distances``, ``chord_line_distances``) that evaluates a
+  whole point range per call; and
+* a **scalar mirror** (the ``*_py`` functions), a point-by-point port in
+  pure Python.
 
 Both sides compute the *same floating-point expressions in the same
 order* (for example ``sqrt(dx*dx + dy*dy)`` rather than ``hypot``, whose
 libm rounding may differ from the explicit form by one ulp), so for any
-input the two engines produce **bit-identical** criterion values — which
-is what lets ``tests/core/test_engine_conformance.py`` assert identical
-retained indices and bit-identical error reports rather than mere
-closeness.
+input they produce **bit-identical** values.
 
-Engine selection is centralized in :func:`resolve_engine`: every
-compressor takes ``engine="numpy" | "python"`` (default ``"numpy"``,
-overridable process-wide through the ``REPRO_ENGINE`` environment
-variable).
+Which side runs is decided here, per sweep, from the sweep's length: a
+numpy call pays a fixed cost of several microseconds (slices,
+temporaries, ufunc dispatch) where the mirror pays a fraction of a
+microsecond per value, so a sweep shorter than one measured cutoff runs
+the mirror and a longer one the kernel (``docs/PERFORMANCE.md`` has the
+crossover table). Callers ask one question per sweep — :func:`chord_max`,
+:func:`chord_first_above`, :func:`speed_jumps`, :func:`distance_integral`
+and the rest — and never choose a side. One compression therefore mixes
+both sides, which is why bit-identity binds every run and not only the
+tests; ``tests/core/test_engine_conformance.py`` forces each side by
+patching the cutoff and requires identical retained indices and
+bit-identical error reports.
 """
 
 from __future__ import annotations
 
 import math
-import os
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.exceptions import TrajectoryError
 
+if TYPE_CHECKING:
+    from repro.trajectory.trajectory import Trajectory
+
 __all__ = [
-    "ENGINES",
-    "ENGINE_ENV_VAR",
-    "resolve_engine",
     "sync_distances",
     "sync_distances_py",
     "perp_distances",
@@ -53,43 +57,28 @@ __all__ = [
     "first_above_py",
     "max_with_offset",
     "max_with_offset_py",
-    "sync_circles",
-    "sync_circles_py",
     "segment_mean_distances",
+    "segment_mean_distance_py",
     "chord_point_distances",
     "chord_point_distance_py",
     "chord_line_distances",
     "chord_line_distance_py",
+    "chord_max",
+    "chord_first_above",
+    "chord_indices_above",
+    "chord_integral",
+    "range_max",
+    "speeds",
+    "speed_jumps",
+    "norms",
+    "distance_integral",
+    "point_chord_distances",
 ]
 
-#: The two interchangeable execution engines.
-ENGINES = ("numpy", "python")
-
-#: Environment variable overriding the default engine process-wide.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve an engine choice to ``"numpy"`` or ``"python"``.
-
-    Resolution order: an explicit ``engine`` argument wins; otherwise the
-    ``REPRO_ENGINE`` environment variable; otherwise ``"numpy"``.
-
-    Raises:
-        ValueError: for any other value (naming its source, so a typo in
-            the environment variable is attributed correctly).
-    """
-    source = "engine"
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR) or None
-        source = f"${ENGINE_ENV_VAR}"
-    if engine is None:
-        return "numpy"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown {source} value {engine!r}; use one of {list(ENGINES)}"
-        )
-    return engine
+#: Shortest sweep, in values computed, that runs the numpy kernel; a
+#: shorter sweep runs the scalar mirror. Set from the measured crossover
+#: of the two sides (``docs/PERFORMANCE.md``).
+_NUMPY_MIN_SWEEP = 48
 
 
 # --------------------------------------------------------------------- #
@@ -284,78 +273,81 @@ def max_with_offset_py(values: list[float]) -> tuple[float, int]:
 
 
 # --------------------------------------------------------------------- #
-# Velocity-space feasibility circles (one-pass SED algorithms)
-# --------------------------------------------------------------------- #
-
-
-def sync_circles(
-    t: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    anchor: int,
-    start: int,
-    end: int,
-    epsilon: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch velocity-space discs for points ``start <= i < end``.
-
-    The synchronized distance of point ``i`` under a chord that leaves
-    ``anchor`` with end velocity ``v`` is ``dt_i * |v - c_i|`` where
-    ``c_i = (P_i - P_anchor) / dt_i``. Hence ``SED_i <= epsilon`` iff
-    ``v`` lies in the disc of center ``c_i`` and radius
-    ``r_i = epsilon / dt_i`` — the feasibility region the one-pass
-    algorithms (OPERB, CISED) intersect incrementally.
-
-    Args:
-        t: timestamps, shape ``(n,)``, strictly increasing.
-        x, y: coordinate columns, shape ``(n,)``.
-        anchor: index of the chord's start point.
-        start: first disc index (``start > anchor``).
-        end: one past the last disc index.
-        epsilon: SED threshold in metres.
-
-    Returns:
-        ``(cx, cy, r)`` arrays of shape ``(end - start,)``.
-    """
-    dt = t[start:end] - t[anchor]
-    cx = (x[start:end] - x[anchor]) / dt
-    cy = (y[start:end] - y[anchor]) / dt
-    r = epsilon / dt
-    return cx, cy, r
-
-
-def sync_circles_py(
-    t: list[float],
-    x: list[float],
-    y: list[float],
-    anchor: int,
-    start: int,
-    end: int,
-    epsilon: float,
-) -> list[tuple[float, float, float]]:
-    """Scalar reference mirror of :func:`sync_circles`."""
-    ta, xa, ya = t[anchor], x[anchor], y[anchor]
-    out = []
-    for i in range(start, end):
-        dt = t[i] - ta
-        out.append(((x[i] - xa) / dt, (y[i] - ya) / dt, epsilon / dt))
-    return out
-
-
-# --------------------------------------------------------------------- #
 # Closed-form α integrand (paper Eq. 4/5), batched
 # --------------------------------------------------------------------- #
 
-#: Relative tolerance for degenerate-case detection; must match the
-#: scalar reference, :func:`repro.error.synchronized.segment_mean_distance`.
+#: Relative tolerance for degenerate-case detection, shared by both sides.
 _CASE_RTOL = 1e-12
+
+
+def segment_mean_distance_py(v0: Sequence[float], v1: Sequence[float]) -> float:
+    """Average of ``|v0 + u (v1 - v0)|`` over ``u ∈ [0, 1]``.
+
+    This is the single-interval building block of α(p, a) — the paper's
+    Eq. 4/5 after normalizing time to the unit interval (which leaves the
+    *average* unchanged). See :mod:`repro.error.synchronized` for the
+    case analysis; public there as ``segment_mean_distance``.
+
+    Args:
+        v0: difference vector at the interval start, two components.
+        v1: difference vector at the interval end, two components.
+
+    Raises:
+        TrajectoryError: a component of ``v0``/``v1`` is NaN or
+            infinite. The case analysis below would otherwise turn such
+            input into a quiet NaN (or a spurious finite value via the
+            clamps), poisoning every aggregate built on top.
+    """
+    v0x, v0y = float(v0[0]), float(v0[1])
+    v1x, v1y = float(v1[0]), float(v1[1])
+    if not all(map(math.isfinite, (v0x, v0y, v1x, v1y))):
+        raise TrajectoryError(
+            f"difference vectors must be finite, got v0={[v0x, v0y]}, "
+            f"v1={[v1x, v1y]}"
+        )
+    # Explicit component products (not a dot product): the batch kernel
+    # below mirrors these expressions term by term, and BLAS dot
+    # products may differ from the written-out form by one ulp.
+    wx = v1x - v0x
+    wy = v1y - v0y
+    a = wx * wx + wy * wy
+    b = 2.0 * (v0x * wx + v0y * wy)
+    c = v0x * v0x + v0y * v0y
+    scale = max(a, abs(b), c, 1e-300)
+    if a <= _CASE_RTOL * scale:
+        # Paper case c1 = 0: pure translation, constant distance.
+        return float(np.sqrt(c))
+    disc = 4.0 * a * c - b * b
+    if disc <= _CASE_RTOL * scale * scale:
+        # Paper case c2² - 4 c1 c3 = 0: parallel difference vectors; the
+        # integrand is sqrt(a) * |u - r| with r the zero crossing.
+        r = -b / (2.0 * a)
+        if r <= 0.0:
+            integral = 0.5 - r
+        elif r >= 1.0:
+            integral = r - 0.5
+        else:
+            integral = (r * r + (1.0 - r) * (1.0 - r)) / 2.0
+        return float(np.sqrt(a) * integral)
+    # General case: arcsinh antiderivative (the paper's F(t)). numpy's
+    # arcsinh, not math.asinh, so both sides share one implementation.
+    sqrt_disc = np.sqrt(disc)
+    sqrt_a = np.sqrt(a)
+
+    def antiderivative(u: float) -> float:
+        s = np.sqrt(max(a * u * u + b * u + c, 0.0))
+        return float(
+            (2.0 * a * u + b) / (4.0 * a) * s
+            + disc / (8.0 * a * sqrt_a) * np.arcsinh((2.0 * a * u + b) / sqrt_disc)
+        )
+
+    return antiderivative(1.0) - antiderivative(0.0)
 
 
 def segment_mean_distances(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
     """Batch average of ``|v0 + u (v1 - v0)|`` over ``u ∈ [0, 1]`` per row.
 
-    Vectorized mirror of
-    :func:`repro.error.synchronized.segment_mean_distance` — same case
+    Vectorized twin of :func:`segment_mean_distance_py` — same case
     analysis, same expressions, bit-identical output row by row. This is
     the per-segment sweep of the paper's α(p, a) integral, evaluated for
     all merged-grid intervals in one call.
@@ -492,3 +484,191 @@ def chord_line_distance_py(
     if norm == 0.0:
         return math.sqrt(rx * rx + ry * ry)
     return abs(rx * aby - ry * abx) / norm
+
+
+# --------------------------------------------------------------------- #
+# Sweeps: one question per call, answered on the side its length selects
+# --------------------------------------------------------------------- #
+
+
+def _chord_sweep(
+    traj: Trajectory, start: int, end: int, criterion: str
+) -> tuple[Sequence[float], bool]:
+    """``(values, vectorized)``: the criterion distance of every interior
+    point of the chord ``start``–``end`` (``"synchronized"`` or
+    ``"perpendicular"``), from the kernel when ``vectorized``."""
+    if end - start - 1 < _NUMPY_MIN_SWEEP:
+        t, x, y = traj.column_lists
+        if criterion == "perpendicular":
+            return perp_distances_py(x, y, start, end), False
+        return sync_distances_py(t, x, y, start, end), False
+    t, x, y = traj.columns
+    if criterion == "perpendicular":
+        return perp_distances(x, y, start, end), True
+    return sync_distances(t, x, y, start, end), True
+
+
+def chord_max(
+    traj: Trajectory, start: int, end: int, criterion: str = "synchronized"
+) -> tuple[float, int]:
+    """Max criterion distance over the interior of the chord ``start``–``end``.
+
+    The top-down split test and the bottom-up merge cost. Returns
+    ``(max_distance, index)``, the index (into ``traj``) of the first
+    interior point attaining it. Needs ``end - start >= 2``.
+    """
+    values, vectorized = _chord_sweep(traj, start, end, criterion)
+    if vectorized:
+        error, offset = max_with_offset(values)  # type: ignore[arg-type]
+    else:
+        error, offset = max_with_offset_py(values)  # type: ignore[arg-type]
+    return error, start + 1 + offset
+
+
+def chord_first_above(
+    traj: Trajectory,
+    start: int,
+    end: int,
+    threshold: float,
+    criterion: str = "synchronized",
+) -> int:
+    """First interior point of the chord ``start``–``end`` whose criterion
+    distance exceeds ``threshold`` (its index into ``traj``), or ``-1``.
+
+    The opening-window scan.
+    """
+    values, vectorized = _chord_sweep(traj, start, end, criterion)
+    if vectorized:
+        offset = first_above(values, threshold)  # type: ignore[arg-type]
+    else:
+        offset = first_above_py(values, threshold)  # type: ignore[arg-type]
+    return -1 if offset < 0 else start + 1 + offset
+
+
+def chord_indices_above(
+    traj: Trajectory,
+    start: int,
+    end: int,
+    threshold: float,
+    criterion: str = "synchronized",
+) -> list[int]:
+    """Every interior point of the chord ``start``–``end`` whose criterion
+    distance exceeds ``threshold``, as ascending indices into ``traj``."""
+    values, vectorized = _chord_sweep(traj, start, end, criterion)
+    if vectorized:
+        offsets = np.flatnonzero(values > threshold).tolist()  # type: ignore[operator]
+    else:
+        offsets = [i for i, value in enumerate(values) if value > threshold]
+    return [start + 1 + offset for offset in offsets]
+
+
+def range_max(values: np.ndarray, start: int, end: int) -> tuple[float, int]:
+    """``(max, index)`` of ``values[start:end]``, the index of its first
+    occurrence counted in ``values``. Needs ``end > start``."""
+    if end - start < _NUMPY_MIN_SWEEP:
+        best, offset = max_with_offset_py(values[start:end].tolist())
+    else:
+        best, offset = max_with_offset(values[start:end])
+    return best, start + offset
+
+
+def speeds(traj: Trajectory) -> np.ndarray:
+    """Derived speed of every segment of ``traj``, shape ``(n - 1,)``."""
+    if len(traj) - 1 < _NUMPY_MIN_SWEEP:
+        return np.asarray(segment_speeds_py(*traj.column_lists), dtype=float)
+    return segment_speeds(*traj.columns)
+
+
+def speed_jumps(traj: Trajectory) -> np.ndarray:
+    """Speed jump ``|v_i - v_{i-1}|`` at every interior point of ``traj``.
+
+    ``out[j]`` is the jump at point ``j + 1``; shape ``(n - 2,)``.
+    """
+    if len(traj) - 2 < _NUMPY_MIN_SWEEP:
+        return np.asarray(speed_deltas_py(*traj.column_lists), dtype=float)
+    return speed_deltas(*traj.columns)
+
+
+def norms(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``sqrt(dx*dx + dy*dy)`` element by element."""
+    if dx.size < _NUMPY_MIN_SWEEP:
+        return np.asarray(
+            [math.sqrt(a * a + b * b) for a, b in zip(dx.tolist(), dy.tolist())],
+            dtype=float,
+        )
+    return np.sqrt(dx * dx + dy * dy)
+
+
+def _distance_integral_py(
+    deltas: Sequence[Sequence[float]], weights: Sequence[float]
+) -> float:
+    return math.fsum(
+        weights[i] * segment_mean_distance_py(deltas[i], deltas[i + 1])
+        for i in range(len(weights))
+    )
+
+
+def distance_integral(deltas: np.ndarray, weights: np.ndarray) -> float:
+    """``∫ |d(t)| dt`` for a difference vector linear between samples.
+
+    ``deltas`` (shape ``(k + 1, 2)``) holds ``d`` at the interval ends
+    and ``weights`` (shape ``(k,)``) the interval durations: the result
+    is ``Σ weights[i] * mean|d|`` over interval ``i``, summed with
+    ``math.fsum`` (exactly rounded, so both sides agree to the bit).
+    This is the numerator of the paper's α (Sect. 4.2).
+    """
+    if weights.size < _NUMPY_MIN_SWEEP:
+        return _distance_integral_py(deltas.tolist(), weights.tolist())
+    alphas = segment_mean_distances(deltas[:-1], deltas[1:])
+    return math.fsum((weights * alphas).tolist())
+
+
+def chord_integral(traj: Trajectory, start: int, end: int) -> float:
+    """Error integral of the chord ``start``–``end`` over its original span.
+
+    ``∫ dist(loc(p, t), chord(t)) dt`` over ``[t_start, t_end]``, in
+    closed form per original sub-segment: the chord and the original are
+    both linear there, so the difference vector is too.
+    """
+    if end - start < _NUMPY_MIN_SWEEP:
+        t, x, y = traj.column_lists
+        ts = t[start]
+        delta_e = t[end] - ts
+        xs, ys = x[start], y[start]
+        ex, ey = x[end] - xs, y[end] - ys
+        deltas = []
+        for i in range(start, end + 1):
+            ratio = (t[i] - ts) / delta_e
+            deltas.append((x[i] - (xs + ratio * ex), y[i] - (ys + ratio * ey)))
+        weights = [t[i + 1] - t[i] for i in range(start, end)]
+        return _distance_integral_py(deltas, weights)
+    t, x, y = traj.columns
+    ts = t[start]
+    delta_e = t[end] - ts
+    span = slice(start, end + 1)
+    ratio = (t[span] - ts) / delta_e
+    dx = x[span] - (x[start] + ratio * (x[end] - x[start]))
+    dy = y[span] - (y[start] + ratio * (y[end] - y[start]))
+    return distance_integral(
+        np.column_stack((dx, dy)), t[start + 1 : end + 1] - t[start:end]
+    )
+
+
+def point_chord_distances(
+    traj: Trajectory,
+    lo: int,
+    hi: int,
+    a: tuple[float, float],
+    b: tuple[float, float],
+    to_segment: bool = True,
+) -> Sequence[float]:
+    """Distances of points ``lo <= i < hi`` of ``traj`` to the closed
+    segment ``a``–``b`` (or, with ``to_segment=False``, its line)."""
+    (ax, ay), (bx, by) = a, b
+    if hi - lo < _NUMPY_MIN_SWEEP:
+        _, px, py = traj.column_lists
+        measure_py = chord_point_distance_py if to_segment else chord_line_distance_py
+        return [measure_py(px[i], py[i], ax, ay, bx, by) for i in range(lo, hi)]
+    _, px_arr, py_arr = traj.columns
+    measure = chord_point_distances if to_segment else chord_line_distances
+    return measure(px_arr[lo:hi], py_arr[lo:hi], ax, ay, bx, by)

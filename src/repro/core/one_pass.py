@@ -29,10 +29,9 @@ Both regions under-approximate the exact disc intersection, which can
 only cost compression, never the epsilon guarantee: any accepted end
 velocity lies inside every dropped point's disc. The streaming forms in
 :mod:`repro.streaming.one_pass` run the identical state machine push-by-
-push; the batch classes here replay it over a stored trajectory (with
-the same floating-point expressions via :func:`repro.core.kernels
-.sync_circles` / ``sync_circles_py``), so streaming and batch — and both
-execution engines — select identical indices.
+push; the batch classes here replay it over a stored trajectory with
+the same floating-point expressions, so streaming and batch select
+identical indices.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from typing import Callable, Protocol
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.base import Compressor, require_positive
 from repro.trajectory.trajectory import Trajectory
 
@@ -56,10 +54,6 @@ __all__ = [
 
 #: Half-side of the axis-aligned square inscribed in a unit disc.
 _SQUARE_HALF = math.sqrt(0.5)
-
-#: Points per vectorized :func:`repro.core.kernels.sync_circles` call in
-#: the numpy batch replay.
-_BLOCK = 64
 
 
 class FeasibleRegion(Protocol):
@@ -219,41 +213,20 @@ def one_pass_indices(
 
 
 def _make_circle_fn(
-    traj: Trajectory, epsilon: float, engine: str
+    traj: Trajectory, epsilon: float
 ) -> Callable[[int, int], tuple[float, float, float]]:
-    """Per-point disc parameters, engine-matched to the kernel mirrors.
+    """Velocity-space disc ``(cx, cy, r)`` of point ``i`` relative to ``anchor``.
 
-    The python engine evaluates :func:`~repro.core.kernels
-    .sync_circles_py` point by point; the numpy engine batches
-    :func:`~repro.core.kernels.sync_circles` over blocks of ``_BLOCK``
-    points, refilled on anchor change or range miss — at most two block
-    computations per index, keeping the replay O(n). Both engines
-    evaluate the same floating-point expressions, so the selected
-    indices are bit-identical.
+    The same expressions, in the same order, as the streaming
+    compressors' disc (:mod:`repro.streaming.one_pass`). The region
+    update that consumes each disc is inherently sequential, so the
+    replay is one scalar loop.
     """
-    n = len(traj)
-    if engine == "python":
-        t, x, y = traj.column_lists
-
-        def circle(anchor: int, i: int) -> tuple[float, float, float]:
-            return kernels.sync_circles_py(t, x, y, anchor, i, i + 1, epsilon)[0]
-
-        return circle
-
-    ta, xa, ya = traj.columns
-    cache: dict[str, object] = {"anchor": -1, "start": 0, "end": 0}
+    t, x, y = traj.column_lists
 
     def circle(anchor: int, i: int) -> tuple[float, float, float]:
-        if anchor != cache["anchor"] or not (cache["start"] <= i < cache["end"]):
-            end = min(n, i + _BLOCK)
-            cx, cy, r = kernels.sync_circles(ta, xa, ya, anchor, i, end, epsilon)
-            cache.update(anchor=anchor, start=i, end=end, cx=cx, cy=cy, r=r)
-        off = i - cache["start"]  # type: ignore[operator]
-        return (
-            float(cache["cx"][off]),  # type: ignore[index]
-            float(cache["cy"][off]),  # type: ignore[index]
-            float(cache["r"][off]),  # type: ignore[index]
-        )
+        dt = t[i] - t[anchor]
+        return (x[i] - x[anchor]) / dt, (y[i] - y[anchor]) / dt, epsilon / dt
 
     return circle
 
@@ -271,16 +244,13 @@ class OPERB(Compressor):
 
     Args:
         epsilon: synchronized distance threshold in metres.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable.
     """
 
     name = "operb"
     online = True
 
-    def __init__(self, *, epsilon: float, engine: str | None = None) -> None:
+    def __init__(self, *, epsilon: float) -> None:
         self.epsilon = require_positive("epsilon", epsilon)
-        self.engine = kernels.resolve_engine(engine)
 
     def sync_error_bound(self) -> float:
         """Accepted end velocities stay inside every dropped point's
@@ -288,7 +258,7 @@ class OPERB(Compressor):
         return self.epsilon
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
-        circle = _make_circle_fn(traj, self.epsilon, self.engine)
+        circle = _make_circle_fn(traj, self.epsilon)
         return one_pass_indices(len(traj), circle, RectangleRegion)
 
 
@@ -306,21 +276,16 @@ class CISED(Compressor):
     Args:
         epsilon: synchronized distance threshold in metres.
         m: polygon edge count per disc (>= 3; default 16).
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable.
     """
 
     name = "cised"
     online = True
 
-    def __init__(
-        self, *, epsilon: float, m: int = 16, engine: str | None = None
-    ) -> None:
+    def __init__(self, *, epsilon: float, m: int = 16) -> None:
         self.epsilon = require_positive("epsilon", epsilon)
         self.m = int(m)
         if self.m < 3:
             raise ValueError(f"m must be >= 3, got {m}")
-        self.engine = kernels.resolve_engine(engine)
 
     def sync_error_bound(self) -> float:
         """Accepted end velocities stay inside every dropped point's
@@ -328,7 +293,7 @@ class CISED(Compressor):
         return self.epsilon
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
-        circle = _make_circle_fn(traj, self.epsilon, self.engine)
+        circle = _make_circle_fn(traj, self.epsilon)
         m = self.m
 
         def factory(cx: float, cy: float, r: float) -> PolygonRegion:

@@ -63,30 +63,17 @@ class WindowScanFn(Protocol):
         ...  # pragma: no cover - protocol signature only
 
 
-def perpendicular_scan(threshold: float, engine: str = "numpy") -> WindowScanFn:
+def perpendicular_scan(threshold: float) -> WindowScanFn:
     """Window scan testing perpendicular distance to the anchor–float line.
 
     The criterion of the classic (spatial) NOPW/BOPW algorithms.
     """
     threshold = require_positive("threshold", threshold)
 
-    if engine == "python":
-
-        def scan(traj: Trajectory, anchor: int, float_end: int) -> int:
-            _, x, y = traj.column_lists
-            offset = kernels.first_above_py(
-                kernels.perp_distances_py(x, y, anchor, float_end), threshold
-            )
-            return -1 if offset < 0 else anchor + 1 + offset
-
-    else:
-
-        def scan(traj: Trajectory, anchor: int, float_end: int) -> int:
-            _, x, y = traj.columns
-            offset = kernels.first_above(
-                kernels.perp_distances(x, y, anchor, float_end), threshold
-            )
-            return -1 if offset < 0 else anchor + 1 + offset
+    def scan(traj: Trajectory, anchor: int, float_end: int) -> int:
+        return kernels.chord_first_above(
+            traj, anchor, float_end, threshold, "perpendicular"
+        )
 
     return scan
 
@@ -140,20 +127,17 @@ class NOPW(Compressor):
 
     Args:
         epsilon: perpendicular distance threshold in metres.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable.
     """
 
     name = "nopw"
     online = True
 
-    def __init__(self, *, epsilon: float, engine: str | None = None) -> None:
+    def __init__(self, *, epsilon: float) -> None:
         self.epsilon = require_positive("epsilon", epsilon)
-        self.engine = kernels.resolve_engine(engine)
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         return opening_window_indices(
-            traj, perpendicular_scan(self.epsilon, self.engine), "violating"
+            traj, perpendicular_scan(self.epsilon), "violating"
         )
 
 
@@ -165,18 +149,15 @@ class BOPW(Compressor):
 
     Args:
         epsilon: perpendicular distance threshold in metres.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable.
     """
 
     name = "bopw"
     online = True
 
-    def __init__(self, *, epsilon: float, engine: str | None = None) -> None:
+    def __init__(self, *, epsilon: float) -> None:
         self.epsilon = require_positive("epsilon", epsilon)
-        self.engine = kernels.resolve_engine(engine)
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         return opening_window_indices(
-            traj, perpendicular_scan(self.epsilon, self.engine), "before-float"
+            traj, perpendicular_scan(self.epsilon), "before-float"
         )

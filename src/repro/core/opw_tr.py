@@ -24,27 +24,12 @@ from repro.trajectory.trajectory import Trajectory
 __all__ = ["synchronized_scan", "OPWTR"]
 
 
-def synchronized_scan(threshold: float, engine: str = "numpy") -> WindowScanFn:
+def synchronized_scan(threshold: float) -> WindowScanFn:
     """Window scan testing time-ratio distance to the anchor–float chord."""
     threshold = require_positive("threshold", threshold)
 
-    if engine == "python":
-
-        def scan(traj: Trajectory, anchor: int, float_end: int) -> int:
-            t, x, y = traj.column_lists
-            offset = kernels.first_above_py(
-                kernels.sync_distances_py(t, x, y, anchor, float_end), threshold
-            )
-            return -1 if offset < 0 else anchor + 1 + offset
-
-    else:
-
-        def scan(traj: Trajectory, anchor: int, float_end: int) -> int:
-            t, x, y = traj.columns
-            offset = kernels.first_above(
-                kernels.sync_distances(t, x, y, anchor, float_end), threshold
-            )
-            return -1 if offset < 0 else anchor + 1 + offset
+    def scan(traj: Trajectory, anchor: int, float_end: int) -> int:
+        return kernels.chord_first_above(traj, anchor, float_end, threshold)
 
     return scan
 
@@ -61,23 +46,16 @@ class OPWTR(Compressor):
         epsilon: synchronized distance threshold in metres.
         strategy: break-point choice, ``"violating"`` (paper default) or
             ``"before-float"`` for the BOPW-style variant.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable.
     """
 
     name = "opw-tr"
     online = True
 
     def __init__(
-        self,
-        *,
-        epsilon: float,
-        strategy: BreakStrategy = "violating",
-        engine: str | None = None,
+        self, *, epsilon: float, strategy: BreakStrategy = "violating"
     ) -> None:
         self.epsilon = require_positive("epsilon", epsilon)
         self.strategy = strategy
-        self.engine = kernels.resolve_engine(engine)
 
     def sync_error_bound(self) -> float:
         """Each emitted segment was fully validated against its own chord
@@ -87,5 +65,5 @@ class OPWTR(Compressor):
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         return opening_window_indices(
-            traj, synchronized_scan(self.epsilon, self.engine), self.strategy
+            traj, synchronized_scan(self.epsilon), self.strategy
         )

@@ -11,11 +11,8 @@ Algorithm and parameters can also travel as one value — a *spec string*::
 
 e.g. ``"td-tr:epsilon=30"`` or ``"opw-sp:epsilon=30,speed=5"``. Values
 are coerced to ``int``, ``float`` or ``bool`` when they look like one,
-and are kept as strings otherwise — which is how the execution engine
-travels in a spec: ``"td-tr:epsilon=30,engine=python"`` (every
-registered compressor accepts ``engine``; see
-:mod:`repro.core.kernels`). A few
-convenience aliases mirror the CLI's flag names: ``epsilon`` and
+and are kept as strings otherwise (``"td-tr:epsilon=30,traversal=recursive"``).
+A few convenience aliases mirror the CLI's flag names: ``epsilon`` and
 ``speed`` map onto ``max_dist_error`` / ``max_speed_error`` for the SP
 algorithms, ``epsilon`` onto ``max_mean_error`` for
 ``bottom-up-total-error``, and ``angle`` onto ``max_angle_rad``.

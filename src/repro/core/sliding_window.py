@@ -31,8 +31,6 @@ class SlidingWindow(Compressor):
         epsilon: error threshold in metres.
         window_size: number of points per window (``>= 3``).
         criterion: ``"perpendicular"`` or ``"synchronized"``.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable.
     """
 
     name = "sliding-window"
@@ -44,7 +42,6 @@ class SlidingWindow(Compressor):
         epsilon: float,
         window_size: int = 32,
         criterion: str = "perpendicular",
-        engine: str | None = None,
     ) -> None:
         self.epsilon = require_positive("epsilon", epsilon)
         if window_size < 3:
@@ -53,18 +50,6 @@ class SlidingWindow(Compressor):
             raise ValueError(f"unknown criterion {criterion!r}")
         self.window_size = int(window_size)
         self.criterion = criterion
-        self.engine = kernels.resolve_engine(engine)
-
-    def _window_errors(self, traj: Trajectory, start: int, end: int):
-        if self.engine == "python":
-            t, x, y = traj.column_lists
-            if self.criterion == "perpendicular":
-                return kernels.perp_distances_py(x, y, start, end)
-            return kernels.sync_distances_py(t, x, y, start, end)
-        t, x, y = traj.columns
-        if self.criterion == "perpendicular":
-            return kernels.perp_distances(x, y, start, end)
-        return kernels.sync_distances(t, x, y, start, end)
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         n = len(traj)
@@ -75,13 +60,10 @@ class SlidingWindow(Compressor):
             end = min(start + self.window_size - 1, n - 1)
             keep[start] = keep[end] = True
             if end - start >= 2:
-                errors = self._window_errors(traj, start, end)
-                if self.engine == "python":
-                    for offset, error in enumerate(errors):
-                        if error > self.epsilon:
-                            keep[start + 1 + offset] = True
-                else:
-                    bad = np.nonzero(errors > self.epsilon)[0]
-                    keep[start + 1 + bad] = True
+                keep[
+                    kernels.chord_indices_above(
+                        traj, start, end, self.epsilon, self.criterion
+                    )
+                ] = True
             start = end
         return np.nonzero(keep)[0]

@@ -13,7 +13,8 @@ Three implementations:
   pseudocode (including its restart-the-inner-scan-on-every-window-growth
   behaviour), kept as the executable specification;
 * :class:`OPWSP` — the same algorithm expressed through the generic
-  opening-window driver with a vectorized scan; the test suite asserts it
+  opening-window driver, computing each point's speed test once and each
+  window's distances in one kernel sweep; the test suite asserts it
   selects *identical* indices to the faithful port;
 * :class:`TDSP` — the top-down application of the two criteria, which the
   paper evaluates as TD-SP in Fig. 10 but does not give pseudocode for.
@@ -24,6 +25,7 @@ Three implementations:
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -43,9 +45,7 @@ __all__ = [
 ]
 
 
-def speed_violations(
-    traj: Trajectory, max_speed_error: float, engine: str = "numpy"
-) -> np.ndarray:
+def speed_violations(traj: Trajectory, max_speed_error: float) -> np.ndarray:
     """Boolean mask over points: speed-difference criterion fires there.
 
     ``out[i]`` is True when ``|v_i - v_{i-1}| > max_speed_error`` with
@@ -54,15 +54,8 @@ def speed_violations(
     """
     n = len(traj)
     out = np.zeros(n, dtype=bool)
-    if n < 3:
-        return out
-    if engine == "python":
-        t, x, y = traj.column_lists
-        deltas = kernels.speed_deltas_py(t, x, y)
-        out[1:-1] = [delta > max_speed_error for delta in deltas]
-    else:
-        t, x, y = traj.columns
-        out[1:-1] = kernels.speed_deltas(t, x, y) > max_speed_error
+    if n >= 3:
+        out[1:-1] = kernels.speed_jumps(traj) > max_speed_error
     return out
 
 
@@ -118,47 +111,30 @@ def spt_paper_indices(
 
 
 def spatiotemporal_scan(
-    max_dist_error: float,
-    speed_violation_mask: np.ndarray,
-    engine: str = "numpy",
+    max_dist_error: float, speed_violation_mask: np.ndarray
 ) -> WindowScanFn:
     """Window scan combining the SED and speed criteria.
 
     The speed test depends only on the point, not the window, so callers
     precompute its mask once per trajectory (:func:`speed_violations`) and
-    pass it in.
+    pass it in. A window's first violator is then the earlier of its
+    first distance violator and its first speed-flagged interior point.
 
     Args:
         max_dist_error: synchronized distance threshold in metres.
         speed_violation_mask: boolean mask over the trajectory's points,
             True where the speed-difference criterion fires.
-        engine: ``"numpy"`` (vectorized sweep) or ``"python"`` (scalar
-            reference); both flag the same first violator.
     """
     max_dist_error = require_positive("max_dist_error", max_dist_error)
-    mask = np.asarray(speed_violation_mask, dtype=bool)
+    flagged = np.flatnonzero(speed_violation_mask).tolist()
 
-    if engine == "python":
-        mask_list = mask.tolist()
-
-        def scan(traj: Trajectory, anchor: int, float_end: int) -> int:
-            t, x, y = traj.column_lists
-            distances = kernels.sync_distances_py(t, x, y, anchor, float_end)
-            for offset, distance in enumerate(distances):
-                if distance > max_dist_error or mask_list[anchor + 1 + offset]:
-                    return anchor + 1 + offset
-            return -1
-
-    else:
-
-        def scan(traj: Trajectory, anchor: int, float_end: int) -> int:
-            t, x, y = traj.columns
-            distances = kernels.sync_distances(t, x, y, anchor, float_end)
-            bad = (distances > max_dist_error) | mask[anchor + 1 : float_end]
-            violating = np.nonzero(bad)[0]
-            if violating.size == 0:
-                return -1
-            return anchor + 1 + int(violating[0])
+    def scan(traj: Trajectory, anchor: int, float_end: int) -> int:
+        violating = kernels.chord_first_above(traj, anchor, float_end, max_dist_error)
+        k = bisect.bisect_right(flagged, anchor)
+        if k < len(flagged) and flagged[k] < float_end:
+            if violating < 0 or flagged[k] < violating:
+                return flagged[k]
+        return violating
 
     return scan
 
@@ -166,31 +142,22 @@ def spatiotemporal_scan(
 class OPWSP(Compressor):
     """Opening-window spatiotemporal compressor (the paper's OPW-SP).
 
-    Online algorithm; equivalent to the paper's ``SPT`` pseudocode but
-    with a batch window scan (identical selected indices, much lower
-    constant factor — see the ablation bench).
+    Online algorithm; equivalent to the paper's ``SPT`` pseudocode
+    (identical selected indices) without its per-window recomputation of
+    the speed test, which is what the ablation bench measures.
 
     Args:
         max_dist_error: synchronized distance threshold in metres.
         max_speed_error: speed-difference threshold in m/s (the paper
             sweeps 5, 15 and 25 m/s).
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable.
     """
 
     name = "opw-sp"
     online = True
 
-    def __init__(
-        self,
-        *,
-        max_dist_error: float,
-        max_speed_error: float,
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, *, max_dist_error: float, max_speed_error: float) -> None:
         self.max_dist_error = require_positive("max_dist_error", max_dist_error)
         self.max_speed_error = require_positive("max_speed_error", max_speed_error)
-        self.engine = kernels.resolve_engine(engine)
 
     def sync_error_bound(self) -> float:
         """The distance half of the SP criterion bounds the synchronized
@@ -198,8 +165,8 @@ class OPWSP(Compressor):
         return self.max_dist_error
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
-        mask = speed_violations(traj, self.max_speed_error, self.engine)
-        scan = spatiotemporal_scan(self.max_dist_error, mask, self.engine)
+        mask = speed_violations(traj, self.max_speed_error)
+        scan = spatiotemporal_scan(self.max_dist_error, mask)
         return opening_window_indices(traj, scan, "violating")
 
 
@@ -216,22 +183,13 @@ class TDSP(Compressor):
     Args:
         max_dist_error: synchronized distance threshold in metres.
         max_speed_error: speed-difference threshold in m/s.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable.
     """
 
     name = "td-sp"
 
-    def __init__(
-        self,
-        *,
-        max_dist_error: float,
-        max_speed_error: float,
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, *, max_dist_error: float, max_speed_error: float) -> None:
         self.max_dist_error = require_positive("max_dist_error", max_dist_error)
         self.max_speed_error = require_positive("max_speed_error", max_speed_error)
-        self.engine = kernels.resolve_engine(engine)
 
     def sync_error_bound(self) -> float:
         """Splitting continues while any interior synchronized distance
@@ -239,45 +197,15 @@ class TDSP(Compressor):
         return self.max_dist_error
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
-        n = len(traj)
-        if self.engine == "python":
-            t, x, y = traj.column_lists
-            speed_diff = [0.0] * n
-            if n >= 3:
-                speed_diff[1:-1] = kernels.speed_deltas_py(t, x, y)
+        speed_diff = np.zeros(len(traj))
+        speed_diff[1:-1] = kernels.speed_jumps(traj)
 
-            def segment_error(
-                tr: Trajectory, start: int, end: int
-            ) -> tuple[float, int]:
-                worst, offset = kernels.max_with_offset_py(
-                    speed_diff[start + 1 : end]
-                )
-                if worst > self.max_speed_error:
-                    # Force a split at the worst speed violator by
-                    # reporting an error above any finite threshold.
-                    return float("inf"), start + 1 + offset
-                error, offset = kernels.max_with_offset_py(
-                    kernels.sync_distances_py(t, x, y, start, end)
-                )
-                return error, start + 1 + offset
-
-        else:
-            t, x, y = traj.columns
-            speed_diff = np.zeros(n)
-            if n >= 3:
-                speed_diff[1:-1] = kernels.speed_deltas(t, x, y)
-
-            def segment_error(
-                tr: Trajectory, start: int, end: int
-            ) -> tuple[float, int]:
-                worst, offset = kernels.max_with_offset(
-                    speed_diff[start + 1 : end]
-                )
-                if worst > self.max_speed_error:
-                    return float("inf"), start + 1 + offset
-                error, offset = kernels.max_with_offset(
-                    kernels.sync_distances(t, x, y, start, end)
-                )
-                return error, start + 1 + offset
+        def segment_error(tr: Trajectory, start: int, end: int) -> tuple[float, int]:
+            worst, cut = kernels.range_max(speed_diff, start + 1, end)
+            if worst > self.max_speed_error:
+                # Force a split at the worst speed violator by reporting
+                # an error above any finite threshold.
+                return float("inf"), cut
+            return kernels.chord_max(traj, start, end)
 
         return top_down_indices(traj, self.max_dist_error, segment_error)

@@ -14,8 +14,6 @@ quantity Sect. 4.2's α measures). The test suite pins this invariant.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from repro.core import kernels
@@ -27,24 +25,14 @@ __all__ = ["synchronized_segment_error", "TDTR"]
 
 
 def synchronized_segment_error(
-    traj: Trajectory, start: int, end: int, *, engine: str = "numpy"
+    traj: Trajectory, start: int, end: int
 ) -> tuple[float, int]:
     """TD-TR's segment error: max synchronized distance to the chord.
 
     Returns ``(max_error, argmax_index)`` over interior points of the
     chord ``start``–``end``.
     """
-    if engine == "python":
-        t, x, y = traj.column_lists
-        error, offset = kernels.max_with_offset_py(
-            kernels.sync_distances_py(t, x, y, start, end)
-        )
-    else:
-        t, x, y = traj.columns
-        error, offset = kernels.max_with_offset(
-            kernels.sync_distances(t, x, y, start, end)
-        )
-    return error, start + 1 + offset
+    return kernels.chord_max(traj, start, end, "synchronized")
 
 
 class TDTR(Compressor):
@@ -59,31 +47,18 @@ class TDTR(Compressor):
         epsilon: synchronized distance threshold in metres.
         traversal: ``"iterative"`` (default) or ``"recursive"``, as for
             :class:`~repro.core.douglas_peucker.DouglasPeucker`.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable.
     """
 
     name = "td-tr"
 
-    def __init__(
-        self,
-        *,
-        epsilon: float,
-        traversal: str = "iterative",
-        engine: str | None = None,
-    ) -> None:
+    def __init__(self, *, epsilon: float, traversal: str = "iterative") -> None:
         self.epsilon = require_positive("epsilon", epsilon)
         self.traversal = traversal
         self._traversal = resolve_traversal(traversal)
-        self.engine = kernels.resolve_engine(engine)
 
     def sync_error_bound(self) -> float:
         """TD-TR bounds every point's synchronized deviation by epsilon."""
         return self.epsilon
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
-        return self._traversal(
-            traj,
-            self.epsilon,
-            partial(synchronized_segment_error, engine=self.engine),
-        )
+        return self._traversal(traj, self.epsilon, synchronized_segment_error)

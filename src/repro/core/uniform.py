@@ -19,7 +19,6 @@ import math
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.base import Compressor, require_positive
 from repro.trajectory.ops import every_ith_indices
 from repro.trajectory.trajectory import Trajectory
@@ -32,19 +31,15 @@ class EveryIth(Compressor):
 
     Args:
         step: decimation factor; ``step=3`` keeps points 0, 3, 6, ...
-        engine: accepted for registry uniformity; index decimation has no
-            floating-point sweep to vectorize, so both engines share the
-            single implementation.
     """
 
     name = "every-ith"
     online = True
 
-    def __init__(self, *, step: int, engine: str | None = None) -> None:
+    def __init__(self, *, step: int) -> None:
         if not isinstance(step, (int, np.integer)) or step < 1:
             raise ValueError(f"step must be a positive integer, got {step!r}")
         self.step = int(step)
-        self.engine = kernels.resolve_engine(engine)
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         return every_ith_indices(len(traj), self.step)
@@ -60,17 +55,13 @@ class DistanceThreshold(Compressor):
 
     Args:
         epsilon: minimum spacing between retained points, in metres.
-        engine: accepted for registry uniformity; the anchor recurrence
-            is inherently sequential (each decision depends on the last
-            *kept* point), so both engines share the scalar loop.
     """
 
     name = "distance-threshold"
     online = True
 
-    def __init__(self, *, epsilon: float, engine: str | None = None) -> None:
+    def __init__(self, *, epsilon: float) -> None:
         self.epsilon = require_positive("epsilon", epsilon)
-        self.engine = kernels.resolve_engine(engine)
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         _, x, y = traj.column_lists

@@ -55,9 +55,7 @@ def compression_ratio(n_original: int, n_kept: int) -> float:
     return n_original / n_kept
 
 
-def mean_speed_error(
-    original: Trajectory, approx: Trajectory, engine: str | None = None
-) -> float:
+def mean_speed_error(original: Trajectory, approx: Trajectory) -> float:
     """Time-weighted mean absolute difference of the derived speed profiles.
 
     The SP algorithms (Sect. 3.3) retain points where speed changes; this
@@ -66,35 +64,18 @@ def mean_speed_error(
     comparison is evaluated on the original's segments (whose time extents
     weight the average).
     """
-    engine = kernels.resolve_engine(engine)
     if len(original) < 2 or len(approx) < 2:
         raise ValueError("speed error needs >= 2 points on both trajectories")
     # Midpoint of each original segment determines which approx segment's
     # speed applies (approx timestamps are a subseries of the original's,
-    # so no original segment straddles an approx breakpoint). The integer
-    # assignment is shared precompute; only the float sweeps are dual.
-    midpoints = (original.t[:-1] + original.t[1:]) / 2.0
+    # so no original segment straddles an approx breakpoint).
+    t = original.t
+    midpoints = (t[:-1] + t[1:]) / 2.0
     idx = np.clip(
         np.searchsorted(approx.t, midpoints, side="right") - 1, 0, len(approx) - 2
     )
-    if engine == "python":
-        t, x, y = original.column_lists
-        at, ax, ay = approx.column_lists
-        original_speeds = kernels.segment_speeds_py(t, x, y)
-        approx_speeds = kernels.segment_speeds_py(at, ax, ay)
-        idx_list = idx.tolist()
-        weight_list = [t[i + 1] - t[i] for i in range(len(t) - 1)]
-        weighted = math.fsum(
-            abs(original_speeds[i] - approx_speeds[idx_list[i]]) * weight_list[i]
-            for i in range(len(weight_list))
-        )
-        return weighted / math.fsum(weight_list)
-    t, x, y = original.columns
-    at, ax, ay = approx.columns
-    original_speeds = kernels.segment_speeds(t, x, y)
-    approx_speeds = kernels.segment_speeds(at, ax, ay)
     weights = t[1:] - t[:-1]
-    abs_diff = np.abs(original_speeds - approx_speeds[idx])
+    abs_diff = np.abs(kernels.speeds(original) - kernels.speeds(approx)[idx])
     return math.fsum((abs_diff * weights).tolist()) / math.fsum(weights.tolist())
 
 
@@ -158,7 +139,6 @@ class CompressionReport:
 def evaluate_compression(
     original: Trajectory | CompressionResult | tuple[Trajectory, Trajectory],
     approx: Trajectory | None = None,
-    engine: str | None = None,
 ) -> CompressionReport:
     """Compute the full quality report for a compressed trajectory.
 
@@ -174,12 +154,7 @@ def evaluate_compression(
             original's and cover the same interval (what every compressor
             in :mod:`repro.core` produces). Omit when ``original`` is a
             result or a pair.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable. Both engines
-            produce bit-identical reports (the conformance suite pins
-            this).
     """
-    engine = kernels.resolve_engine(engine)
     if approx is None:
         if isinstance(original, CompressionResult):
             original, approx = original.original, original.compressed
@@ -193,9 +168,9 @@ def evaluate_compression(
     return CompressionReport(
         n_original=len(original),
         n_kept=len(approx),
-        mean_sync_error_m=mean_synchronized_error(original, approx, engine),
-        max_sync_error_m=max_synchronized_error(original, approx, engine),
-        mean_perp_error_m=mean_perpendicular_error(original, approx, engine=engine),
-        max_perp_error_m=max_perpendicular_error(original, approx, engine=engine),
-        mean_speed_error_ms=mean_speed_error(original, approx, engine),
+        mean_sync_error_m=mean_synchronized_error(original, approx),
+        max_sync_error_m=max_synchronized_error(original, approx),
+        mean_perp_error_m=mean_perpendicular_error(original, approx),
+        max_perp_error_m=max_perpendicular_error(original, approx),
+        mean_speed_error_ms=mean_speed_error(original, approx),
     )

@@ -42,10 +42,7 @@ def _chord_assignment(original: Trajectory, approx: Trajectory) -> np.ndarray:
 
 
 def perpendicular_deltas(
-    original: Trajectory,
-    approx: Trajectory,
-    to_segment: bool = True,
-    engine: str | None = None,
+    original: Trajectory, approx: Trajectory, to_segment: bool = True
 ) -> np.ndarray:
     """Perpendicular distance of every original point to its chord.
 
@@ -56,72 +53,44 @@ def perpendicular_deltas(
         to_segment: measure to the closed segment (default) rather than
             the infinite line; the infinite-line variant matches the
             Douglas–Peucker discard test exactly.
-        engine: ``"numpy"`` (default) or ``"python"``; ``None`` defers to
-            the ``REPRO_ENGINE`` environment variable. The chord
-            assignment is shared precompute; the distance sweep is dual
-            and bit-identical.
 
     Returns:
         Distances, shape ``(len(original),)``; retained points contribute
         zero.
     """
-    engine = kernels.resolve_engine(engine)
     assignment = _chord_assignment(original, approx)
-    if engine == "python":
-        _, px, py = original.column_lists
-        _, ax, ay = approx.column_lists
-        measure_py = (
-            kernels.chord_point_distance_py
-            if to_segment
-            else kernels.chord_line_distance_py
-        )
-        return np.asarray(
-            [
-                measure_py(
-                    px[i], py[i], ax[seg], ay[seg], ax[seg + 1], ay[seg + 1]
-                )
-                for i, seg in enumerate(assignment.tolist())
-            ]
-        )
-    _, px, py = original.columns
-    _, ax, ay = approx.columns
-    measure = (
-        kernels.chord_point_distances if to_segment else kernels.chord_line_distances
-    )
+    _, ax, ay = approx.column_lists
     out = np.empty(len(original))
-    for seg in np.unique(assignment):
-        mask = assignment == seg
-        out[mask] = measure(
-            px[mask],
-            py[mask],
-            float(ax[seg]),
-            float(ay[seg]),
-            float(ax[seg + 1]),
-            float(ay[seg + 1]),
+    # The assignment never decreases, so each chord covers one run of
+    # consecutive original points: one sweep per run.
+    cuts = (np.flatnonzero(np.diff(assignment)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(original)]):
+        seg = int(assignment[lo])
+        out[lo:hi] = kernels.point_chord_distances(
+            original,
+            lo,
+            hi,
+            (ax[seg], ay[seg]),
+            (ax[seg + 1], ay[seg + 1]),
+            to_segment,
         )
     return out
 
 
 def mean_perpendicular_error(
-    original: Trajectory,
-    approx: Trajectory,
-    to_segment: bool = True,
-    engine: str | None = None,
+    original: Trajectory, approx: Trajectory, to_segment: bool = True
 ) -> float:
     """Average perpendicular distance over original data points.
 
     The paper notes this is "sensitive to the actual number of data
     points" — it is a per-point average, not a time-weighted one.
     """
-    deltas = perpendicular_deltas(original, approx, to_segment, engine=engine)
+    deltas = perpendicular_deltas(original, approx, to_segment)
     return math.fsum(deltas.tolist()) / deltas.size
 
 
 def max_perpendicular_error(
-    original: Trajectory,
-    approx: Trajectory,
-    to_segment: bool = False,
-    engine: str | None = None,
+    original: Trajectory, approx: Trajectory, to_segment: bool = False
 ) -> float:
     """Maximum perpendicular distance of any original point to its chord.
 
@@ -130,9 +99,7 @@ def max_perpendicular_error(
     ``max_perpendicular_error(p, ndp(p, eps)) <= eps`` is an invariant the
     test suite pins.
     """
-    return float(
-        perpendicular_deltas(original, approx, to_segment, engine=engine).max()
-    )
+    return float(perpendicular_deltas(original, approx, to_segment).max())
 
 
 def area_error_sampled(

@@ -32,11 +32,10 @@ negative values from floating-point round-off are clamped.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.core import kernels
+from repro.core.kernels import segment_mean_distance_py as segment_mean_distance
 from repro.exceptions import TrajectoryError
 from repro.trajectory.ops import merge_grids
 from repro.trajectory.trajectory import Trajectory
@@ -48,72 +47,6 @@ __all__ = [
     "synchronized_deltas",
     "mean_synchronized_error_sampled",
 ]
-
-#: Relative tolerance for degenerate-case detection in the integral.
-_CASE_RTOL = 1e-12
-
-
-def segment_mean_distance(v0: np.ndarray, v1: np.ndarray) -> float:
-    """Average of ``|v0 + u (v1 - v0)|`` over ``u ∈ [0, 1]``.
-
-    This is the single-interval building block of α(p, a) — the paper's
-    Eq. 4/5 after normalizing time to the unit interval (which leaves the
-    *average* unchanged). See the module docstring for the case analysis.
-
-    Args:
-        v0: difference vector at the interval start, shape ``(2,)``.
-        v1: difference vector at the interval end, shape ``(2,)``.
-
-    Raises:
-        TrajectoryError: a component of ``v0``/``v1`` is NaN or
-            infinite. The case analysis below would otherwise turn such
-            input into a quiet NaN (or a spurious finite value via the
-            clamps), poisoning every aggregate built on top.
-    """
-    v0 = np.asarray(v0, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
-    if not (np.all(np.isfinite(v0)) and np.all(np.isfinite(v1))):
-        raise TrajectoryError(
-            f"difference vectors must be finite, got v0={v0.tolist()}, "
-            f"v1={v1.tolist()}"
-        )
-    # Explicit component products (not ``w @ w``): the batch kernel in
-    # repro.core.kernels mirrors these expressions term by term, and BLAS
-    # dot products may differ from the written-out form by one ulp.
-    wx = float(v1[0]) - float(v0[0])
-    wy = float(v1[1]) - float(v0[1])
-    v0x, v0y = float(v0[0]), float(v0[1])
-    a = wx * wx + wy * wy
-    b = 2.0 * (v0x * wx + v0y * wy)
-    c = v0x * v0x + v0y * v0y
-    scale = max(a, abs(b), c, 1e-300)
-    if a <= _CASE_RTOL * scale:
-        # Paper case c1 = 0: pure translation, constant distance.
-        return float(np.sqrt(c))
-    disc = 4.0 * a * c - b * b
-    if disc <= _CASE_RTOL * scale * scale:
-        # Paper case c2² - 4 c1 c3 = 0: parallel difference vectors; the
-        # integrand is sqrt(a) * |u - r| with r the zero crossing.
-        r = -b / (2.0 * a)
-        if r <= 0.0:
-            integral = 0.5 - r
-        elif r >= 1.0:
-            integral = r - 0.5
-        else:
-            integral = (r * r + (1.0 - r) * (1.0 - r)) / 2.0
-        return float(np.sqrt(a) * integral)
-    # General case: arcsinh antiderivative (the paper's F(t)).
-    sqrt_disc = np.sqrt(disc)
-    sqrt_a = np.sqrt(a)
-
-    def antiderivative(u: float) -> float:
-        s = np.sqrt(max(a * u * u + b * u + c, 0.0))
-        return float(
-            (2.0 * a * u + b) / (4.0 * a) * s
-            + disc / (8.0 * a * sqrt_a) * np.arcsinh((2.0 * a * u + b) / sqrt_disc)
-        )
-
-    return antiderivative(1.0) - antiderivative(0.0)
 
 
 def _interval_tolerance(original: Trajectory) -> float:
@@ -153,33 +86,19 @@ def _synchronized_positions(
     return original.positions_at(p_times), approx.positions_at(a_times)
 
 
-def synchronized_deltas(
-    original: Trajectory, approx: Trajectory, engine: str | None = None
-) -> np.ndarray:
+def synchronized_deltas(original: Trajectory, approx: Trajectory) -> np.ndarray:
     """Synchronized distances at every *original* timestamp.
 
     ``out[i] = dist(p[i], loc(a, t_i))`` — the per-point view of the error
     the spatiotemporal algorithms bound. Shape ``(len(original),)``.
     """
-    engine = kernels.resolve_engine(engine)
     _check_same_interval(original, approx)
     _, approx_positions = _synchronized_positions(original, approx, original.t)
     diff = original.xy - approx_positions
-    if engine == "python":
-        return np.asarray(
-            [
-                math.sqrt(dx * dx + dy * dy)
-                for dx, dy in zip(diff[:, 0].tolist(), diff[:, 1].tolist())
-            ]
-        )
-    dx = diff[:, 0]
-    dy = diff[:, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    return kernels.norms(diff[:, 0], diff[:, 1])
 
 
-def mean_synchronized_error(
-    original: Trajectory, approx: Trajectory, engine: str | None = None
-) -> float:
+def mean_synchronized_error(original: Trajectory, approx: Trajectory) -> float:
     """The paper's α(p, a): time-weighted mean synchronized distance.
 
     Exact (closed form), assuming both trajectories are piecewise linear.
@@ -188,56 +107,31 @@ def mean_synchronized_error(
     compression case) the merged evaluation grid is just the original's
     timestamps, exactly the paper's Eq. 3.
 
-    Both engines share the grid/position precompute; the per-interval α
-    sweep runs either through the batch kernel or the scalar
-    :func:`segment_mean_distance`, and ``math.fsum`` (exactly rounded,
-    order-independent) aggregates both to bit-identical totals.
-
     Returns:
         Average distance in metres over the whole time interval.
     """
-    engine = kernels.resolve_engine(engine)
     _check_same_interval(original, approx)
     grid = merge_grids(original.t, approx.t)
     p_pos, a_pos = _synchronized_positions(original, approx, grid)
-    deltas = p_pos - a_pos
-    weights = np.diff(grid)
-    if engine == "python":
-        total = math.fsum(
-            weights[i] * segment_mean_distance(deltas[i], deltas[i + 1])
-            for i in range(grid.size - 1)
-        )
-    else:
-        alphas = kernels.segment_mean_distances(deltas[:-1], deltas[1:])
-        total = math.fsum((weights * alphas).tolist())
+    total = kernels.distance_integral(p_pos - a_pos, np.diff(grid))
     duration = float(grid[-1] - grid[0])
     if duration == 0.0:
         raise TrajectoryError("error notion undefined on a zero-length interval")
     return total / duration
 
 
-def max_synchronized_error(
-    original: Trajectory, approx: Trajectory, engine: str | None = None
-) -> float:
+def max_synchronized_error(original: Trajectory, approx: Trajectory) -> float:
     """Maximum synchronized distance over the whole time interval.
 
     Exact: on each interval of the merged time grid both paths are linear,
     so the distance is convex in time and attains its maximum at grid
     points.
     """
-    engine = kernels.resolve_engine(engine)
     _check_same_interval(original, approx)
     grid = merge_grids(original.t, approx.t)
     p_pos, a_pos = _synchronized_positions(original, approx, grid)
     diff = p_pos - a_pos
-    if engine == "python":
-        return max(
-            math.sqrt(dx * dx + dy * dy)
-            for dx, dy in zip(diff[:, 0].tolist(), diff[:, 1].tolist())
-        )
-    dx = diff[:, 0]
-    dy = diff[:, 1]
-    return float(np.sqrt(dx * dx + dy * dy).max())
+    return float(kernels.norms(diff[:, 0], diff[:, 1]).max())
 
 
 def mean_synchronized_error_sampled(

@@ -6,7 +6,7 @@ region per open segment, O(1) state, no window re-scan — each push is
 constant work, which is what lifts the serving hot path past the
 opening-window family's quadratic worst case. The scalar disc
 parameters are computed with the exact floating-point expressions of
-:func:`repro.core.kernels.sync_circles_py`, so the emitted fixes match
+the batch replay in :mod:`repro.core.one_pass`, so the emitted fixes match
 the batch classes' retained points bit for bit; the shared conformance
 tests pin this equivalence.
 """
@@ -84,8 +84,8 @@ class _OnePassStreaming:
             raise StreamError(f"time went backwards ({previous.t} -> {fix.t})")
 
     def _circle(self, fix: Fix) -> tuple[float, float, float]:
-        # Same expressions as kernels.sync_circles_py, so streaming and
-        # batch replay select bit-identical points.
+        # Same expressions as the batch replay's disc in
+        # repro.core.one_pass, so both select bit-identical points.
         anchor = self._anchor
         dt = fix.t - anchor.t  # type: ignore[union-attr]
         return (

@@ -143,10 +143,11 @@ class Trajectory:
     def column_lists(self) -> tuple[list[float], list[float], list[float]]:
         """``(t, x, y)`` as plain Python float lists (cached).
 
-        The pure-Python reference engine (``engine="python"``) iterates
-        point by point; indexing numpy arrays from Python allocates a
-        scalar object per access, so the reference loops run on these
-        cached lists instead.
+        The scalar side of :mod:`repro.core.kernels`, which runs every
+        sweep shorter than its numpy cutoff, and the inherently
+        sequential compressors iterate point by point; indexing numpy
+        arrays from Python allocates a scalar object per access, so those
+        loops run on these cached lists instead.
         """
         cached = self._cols.get("column_lists")
         if cached is None:

@@ -63,10 +63,6 @@ class TestDouglasPeucker:
         with pytest.raises(ThresholdError):
             DouglasPeucker(epsilon=0.0)
 
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError, match="engine"):
-            DouglasPeucker(epsilon=10.0, engine="magic")
-
     def test_iterative_and_recursive_agree(self, urban_trajectory, zigzag):
         for traj in (urban_trajectory, zigzag):
             for eps in (10.0, 35.0, 80.0):

@@ -1,13 +1,16 @@
-"""Differential conformance: numpy engine vs the scalar python reference.
+"""Differential conformance: the numpy kernels vs their scalar mirrors.
 
-Every registered compressor accepts ``engine="numpy" | "python"``. The
-numpy engine is the production path (batch kernels); the python engine is
-the deliberately simple scalar oracle. This suite drives both over
-randomized trajectories — including grid-snapped inputs where zero-length
-and exactly collinear segments are common — and requires *identical*
-retained indices plus *bit-identical* error reports. Any one-ulp drift
-between a kernel and its scalar mirror shows up here as a flaky index
-flip long before it would corrupt an experiment.
+:mod:`repro.core.kernels` runs every sweep as a scalar loop or a numpy
+kernel depending on the sweep's length, so one compression mixes both
+sides. This suite forces each side for every sweep — by patching the
+kernels' cutoff to zero (always numpy) or past any length (always
+scalar) — and drives both over randomized trajectories, including
+grid-snapped inputs where zero-length and exactly collinear segments are
+common. It requires *identical* retained indices plus *bit-identical*
+error reports. Any one-ulp drift between a kernel and its scalar mirror
+shows up here as a flaky index flip long before it would corrupt an
+experiment. A dense trip whose sweeps fall on both sides of the cutoff
+checks that the shipped mix equals both forced sides.
 
 Duplicate timestamps are excluded by construction (the Trajectory
 constructor rejects them); duplicate *positions* are deliberately common.
@@ -16,15 +19,29 @@ constructor rejects them); duplicate *positions* are deliberately common.
 from __future__ import annotations
 
 import dataclasses
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import kernels
 from repro.core.registry import COMPRESSORS, make_compressor
+from repro.datagen import URBAN, TrajectoryGenerator
 from repro.error.metrics import evaluate_compression
 from repro.trajectory import Trajectory
+
+#: Cutoff values that force one side of :mod:`repro.core.kernels` for
+#: every sweep.
+SIDES = {"numpy": 0, "scalar": sys.maxsize}
+
+
+def on_side(side: str, function, *args):
+    """``function(*args)`` with every kernel sweep forced to ``side``."""
+    with mock.patch.object(kernels, "_NUMPY_MIN_SWEEP", SIDES[side]):
+        return function(*args)
 
 #: One fixed, representative parameterization per registered algorithm.
 #: Thresholds sit mid-scale for the coordinate lattice below, so both
@@ -89,42 +106,86 @@ def conformance_trajectories(
 @settings(max_examples=200, deadline=None)
 @given(traj=conformance_trajectories())
 def test_engines_select_identical_indices(name: str, traj: Trajectory):
-    numpy_engine = make_compressor(name, engine="numpy", **ALGORITHM_PARAMS[name])
-    python_engine = make_compressor(name, engine="python", **ALGORITHM_PARAMS[name])
+    compressor = make_compressor(name, **ALGORITHM_PARAMS[name])
     np.testing.assert_array_equal(
-        numpy_engine.select_indices(traj),
-        python_engine.select_indices(traj),
-        err_msg=f"{name}: engines disagree",
+        on_side("numpy", compressor.select_indices, traj),
+        on_side("scalar", compressor.select_indices, traj),
+        err_msg=f"{name}: sides disagree",
     )
+
+
+def assert_reports_identical(left, right) -> None:
+    for field in dataclasses.fields(left):
+        a, b = getattr(left, field.name), getattr(right, field.name)
+        assert a == b, f"{field.name}: {a!r} != {b!r}"
 
 
 @settings(max_examples=200, deadline=None)
 @given(traj=conformance_trajectories(min_points=4))
 def test_error_reports_bit_identical(traj: Trajectory):
-    """evaluate_compression is bit-identical across engines.
+    """evaluate_compression is bit-identical across the two sides.
 
     Uses TD-TR output as the approximation under test; the report spans
     every error notion in the package (synchronized, perpendicular,
     speed), so this transitively pins all five metric functions.
     """
     approx = make_compressor("td-tr", epsilon=25.0).compress(traj).compressed
-    report_np = evaluate_compression(traj, approx, engine="numpy")
-    report_py = evaluate_compression(traj, approx, engine="python")
-    for field in dataclasses.fields(report_np):
-        left = getattr(report_np, field.name)
-        right = getattr(report_py, field.name)
-        assert left == right, (
-            f"{field.name}: numpy={left!r} != python={right!r}"
-        )
+    assert_reports_identical(
+        on_side("numpy", evaluate_compression, traj, approx),
+        on_side("scalar", evaluate_compression, traj, approx),
+    )
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHM_PARAMS))
 def test_engines_agree_on_realistic_trip(name: str, urban_trajectory):
     """Dense realistic data, not just lattice geometry."""
-    numpy_engine = make_compressor(name, engine="numpy", **ALGORITHM_PARAMS[name])
-    python_engine = make_compressor(name, engine="python", **ALGORITHM_PARAMS[name])
+    compressor = make_compressor(name, **ALGORITHM_PARAMS[name])
     np.testing.assert_array_equal(
-        numpy_engine.select_indices(urban_trajectory),
-        python_engine.select_indices(urban_trajectory),
-        err_msg=f"{name}: engines disagree on urban trip",
+        on_side("numpy", compressor.select_indices, urban_trajectory),
+        on_side("scalar", compressor.select_indices, urban_trajectory),
+        err_msg=f"{name}: sides disagree on urban trip",
     )
+
+
+@pytest.fixture(scope="module")
+def straddling_trip() -> Trajectory:
+    """An urban trip resampled to 1,000 fixes about a second apart.
+
+    Its top-down spans and opening windows run from a few points to
+    hundreds, so every shipped compression here runs sweeps on both
+    sides of the kernels' cutoff.
+    """
+    trip = TrajectoryGenerator(seed=11).generate(URBAN, object_id="straddle")
+    return trip.resample((trip.end_time - trip.start_time) / 999)
+
+
+def test_straddling_trip_runs_both_sides(straddling_trip):
+    """Guard for the case below: the shipped path really mixes sides."""
+    for name in ("td-tr", "opw-tr"):
+        compressor = make_compressor(name, **ALGORITHM_PARAMS[name])
+        with mock.patch.object(
+            kernels, "sync_distances", wraps=kernels.sync_distances
+        ) as vectorized, mock.patch.object(
+            kernels, "sync_distances_py", wraps=kernels.sync_distances_py
+        ) as scalar:
+            compressor.select_indices(straddling_trip)
+        assert vectorized.call_count > 0 and scalar.call_count > 0, name
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHM_PARAMS))
+def test_shipped_path_equals_both_sides(name: str, straddling_trip):
+    compressor = make_compressor(name, **ALGORITHM_PARAMS[name])
+    shipped = compressor.select_indices(straddling_trip)
+    for side in SIDES:
+        np.testing.assert_array_equal(
+            shipped,
+            on_side(side, compressor.select_indices, straddling_trip),
+            err_msg=f"{name}: shipped path differs from forced {side}",
+        )
+
+
+def test_shipped_report_equals_both_sides(straddling_trip):
+    approx = make_compressor("td-tr", epsilon=25.0).compress(straddling_trip)
+    shipped = evaluate_compression(approx)
+    for side in SIDES:
+        assert_reports_identical(shipped, on_side(side, evaluate_compression, approx))

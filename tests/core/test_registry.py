@@ -76,3 +76,17 @@ class TestRegistry:
     def test_bad_params_propagate(self):
         with pytest.raises(TypeError):
             make_compressor("td-tr", wrong_param=1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_compressor("td-tr:epsilon=30,engine=python"),
+            lambda: make_compressor("ndp", epsilon=30.0, engine="numpy"),
+        ],
+        ids=["spec", "keyword"],
+    )
+    def test_engine_parameter_is_refused(self, build):
+        """The kernels choose scalar or numpy per sweep; a batch spec or
+        keyword that still names an engine fails, naming it."""
+        with pytest.raises(TypeError, match="engine"):
+            build()

@@ -61,10 +61,6 @@ class TestTDTR:
         recursive = TDTR(epsilon=40.0, traversal="recursive").compress(urban_trajectory)
         np.testing.assert_array_equal(iterative.indices, recursive.indices)
 
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            TDTR(epsilon=10.0, engine="quantum")
-
     @settings(max_examples=40, deadline=None)
     @given(trajectories(min_points=3, max_points=30))
     def test_property_sed_bound(self, traj):

@@ -101,18 +101,6 @@ class TestBatchEquivalence:
         emitted = drain(streaming_cls(epsilon=EPSILON), traj)
         np.testing.assert_array_equal([f.t for f in emitted], batch_times)
 
-    @pytest.mark.parametrize("name", ["operb", "cised"])
-    @settings(max_examples=30, deadline=None)
-    @given(traj=trajectories(min_points=2, max_points=40))
-    def test_engines_bit_identical(self, name, traj):
-        from repro.core.registry import make_compressor
-
-        np.testing.assert_array_equal(
-            make_compressor(name, epsilon=EPSILON, engine="numpy").select_indices(traj),
-            make_compressor(name, epsilon=EPSILON, engine="python").select_indices(traj),
-            err_msg=f"{name}: engines disagree",
-        )
-
 
 class TestConstantState:
     """O(1) per-session memory, the headline property vs opening-window."""

@@ -419,6 +419,19 @@ class TestSpecStrings:
         assert code == 0
         assert len(read_csv(out)) >= 2
 
+    @pytest.mark.parametrize("command", ["compress", "report"])
+    def test_engine_flag_is_gone(self, command, trip_csv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(trip_csv), "-a", "td-tr", "-e", "30",
+                  "--engine", "python"])
+        assert exit_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
+    def test_spec_naming_an_engine_is_refused(self, trip_csv, capsys):
+        code = main(["compress", str(trip_csv), "-a", "td-tr:epsilon=30,engine=python"])
+        assert code == 2
+        assert "engine" in capsys.readouterr().err
+
     def test_report_accepts_spec_algorithm(self, trip_csv, capsys):
         code = main(
             ["report", str(trip_csv), "-a", "opw-sp:epsilon=30,speed=5"]
