@@ -1,11 +1,15 @@
-"""Benchmark: numpy batch kernels vs the scalar python reference engine.
+"""Benchmark: the shipped kernel mix vs each forced side.
 
-Every compressor accepts ``engine="numpy" | "python"``; the two engines
-select identical indices by construction (the conformance suite pins
-bit-identity). This bench measures what the numpy engine buys: it times
-the paper's two headline algorithms (TD-TR and OPW-TR) on one long
-synthetic trajectory under both engines, verifies the outputs match, and
-writes the timings to ``BENCH_kernels.json`` at the repository root.
+:mod:`repro.core.kernels` runs every sweep over a point range as a
+scalar loop when the range is shorter than a measured cutoff and as a
+numpy kernel otherwise; both sides are bit-identical. This bench times
+the paper's two headline algorithms (TD-TR and OPW-TR) and the one-pass
+family on one long synthetic trajectory three ways — as shipped, with
+every sweep forced scalar, and with every sweep forced numpy (by
+patching the cutoff) — verifies that all three select identical indices,
+and writes the timings to ``BENCH_kernels.json`` at the repository root.
+The perf gate (``check_regression.py``) gates the shipped path, which is
+what production runs.
 
 Run standalone::
 
@@ -24,11 +28,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
+from repro.core import kernels
 from repro.core.registry import make_compressor
 from repro.datagen import URBAN, TrajectoryGenerator
 from repro.trajectory import Trajectory
@@ -36,8 +44,7 @@ from repro.trajectory import Trajectory
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 #: The paper's two spatiotemporal headliners — top-down (batch) and
 #: opening-window (online) — plus the one-pass error-bounded family
-#: (OPERB's rectangle regions, CISED's polygon regions). All inner
-#: loops ride the synchronized distance kernels.
+#: (OPERB's rectangle regions, CISED's polygon regions).
 SPECS = (
     "td-tr:epsilon=30",
     "opw-tr:epsilon=30",
@@ -46,6 +53,12 @@ SPECS = (
 )
 FULL_POINTS = 100_000
 QUICK_POINTS = 4_000
+#: Cutoff values forcing one side for every sweep; ``None`` ships as is.
+SIDES = {"shipped": None, "scalar": sys.maxsize, "numpy": 0}
+#: The gated shipped path and the forced numpy side get best-of-3 to
+#: smooth allocator noise; the forced scalar side is the slow one on
+#: long ranges and runs once.
+REPEATS = {"shipped": 3, "scalar": 1, "numpy": 3}
 
 
 def make_trajectory(n_points: int, seed: int = 7) -> Trajectory:
@@ -55,38 +68,40 @@ def make_trajectory(n_points: int, seed: int = 7) -> Trajectory:
     return traj.resample(step)
 
 
-def time_engine(spec: str, traj: Trajectory, engine: str, repeats: int) -> dict:
-    """Best-of-``repeats`` wall time for one (spec, engine) pair."""
-    compressor = make_compressor(f"{spec},engine={engine}")
-    best = None
-    indices = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        indices = compressor.select_indices(traj)
-        elapsed = time.perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    assert indices is not None
-    return {"engine": engine, "best_s": best, "n_kept": int(len(indices)),
-            "indices": indices}
+def time_side(spec: str, traj: Trajectory, side: str) -> tuple[dict, np.ndarray]:
+    """Best-of-``REPEATS[side]`` wall time for one (spec, side) pair."""
+    compressor = make_compressor(spec)
+    cutoff = SIDES[side]
+    forced = (
+        nullcontext()
+        if cutoff is None
+        else mock.patch.object(kernels, "_NUMPY_MIN_SWEEP", cutoff)
+    )
+    best = float("inf")
+    indices = np.empty(0, dtype=int)
+    with forced:
+        for _ in range(REPEATS[side]):
+            started = time.perf_counter()
+            indices = compressor.select_indices(traj)
+            best = min(best, time.perf_counter() - started)
+    return {"best_s": best, "n_kept": int(len(indices))}, indices
 
 
 def bench(n_points: int, output: Path = OUTPUT) -> dict:
-    """Time both engines per spec, check agreement, write the JSON report."""
+    """Time every side per spec, check agreement, write the JSON report."""
     traj = make_trajectory(n_points)
     algorithms = {}
     for spec in SPECS:
-        # The scalar reference is the slow side: time it once; give the
-        # numpy engine best-of-3 to smooth allocator noise.
-        python = time_engine(spec, traj, "python", repeats=1)
-        numpy_ = time_engine(spec, traj, "numpy", repeats=3)
-        assert np.array_equal(python.pop("indices"), numpy_.pop("indices")), (
-            f"engines diverged on {spec}"
-        )
-        algorithms[spec] = {
-            "python": python,
-            "numpy": numpy_,
-            "speedup": python["best_s"] / numpy_["best_s"],
-        }
+        entry = {}
+        shipped_indices = None
+        for side in SIDES:
+            entry[side], indices = time_side(spec, traj, side)
+            if shipped_indices is None:
+                shipped_indices = indices
+            assert np.array_equal(indices, shipped_indices), (
+                f"{spec}: forced {side} diverged from the shipped path"
+            )
+        algorithms[spec] = entry
     report = {
         "benchmark": "kernels",
         "n_points": len(traj),
@@ -97,11 +112,11 @@ def bench(n_points: int, output: Path = OUTPUT) -> dict:
 
 
 def test_bench_kernels_quick(tmp_path):
-    """Suite-sized smoke: engines agree and the report lands on disk."""
+    """Suite-sized smoke: all sides agree and the report lands on disk."""
     report = bench(800, output=tmp_path / "BENCH_kernels.json")
     assert (tmp_path / "BENCH_kernels.json").exists()
     for spec, entry in report["algorithms"].items():
-        assert entry["python"]["n_kept"] == entry["numpy"]["n_kept"], spec
+        assert len({entry[side]["n_kept"] for side in SIDES}) == 1, spec
 
 
 def main() -> int:
@@ -123,9 +138,10 @@ def main() -> int:
     report = bench(n_points, output=args.output)
     for spec, entry in report["algorithms"].items():
         print(
-            f"{spec}: python {entry['python']['best_s']:.2f}s, "
-            f"numpy {entry['numpy']['best_s']:.2f}s "
-            f"({entry['speedup']:.1f}x), kept {entry['numpy']['n_kept']}"
+            f"{spec}: shipped {entry['shipped']['best_s']:.3f}s, "
+            f"scalar {entry['scalar']['best_s']:.3f}s, "
+            f"numpy {entry['numpy']['best_s']:.3f}s, "
+            f"kept {entry['shipped']['n_kept']}"
         )
     print(f"-> {args.output}")
     return 0

@@ -21,13 +21,13 @@ def kernel_report(td_s: float = 0.010, opw_s: float = 0.050, n_points: int = 400
         "n_points": n_points,
         "algorithms": {
             "td-tr:epsilon=30": {
-                "python": {"engine": "python", "best_s": td_s * 5, "n_kept": 50},
-                "numpy": {"engine": "numpy", "best_s": td_s, "n_kept": 50},
+                "scalar": {"engine": "python", "best_s": td_s * 5, "n_kept": 50},
+                "shipped": {"engine": "numpy", "best_s": td_s, "n_kept": 50},
                 "speedup": 5.0,
             },
             "opw-tr:epsilon=30": {
-                "python": {"engine": "python", "best_s": opw_s * 2, "n_kept": 61},
-                "numpy": {"engine": "numpy", "best_s": opw_s, "n_kept": 61},
+                "scalar": {"engine": "python", "best_s": opw_s * 2, "n_kept": 61},
+                "shipped": {"engine": "numpy", "best_s": opw_s, "n_kept": 61},
                 "speedup": 2.0,
             },
         },
