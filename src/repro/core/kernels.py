@@ -491,21 +491,25 @@ def chord_line_distance_py(
 # --------------------------------------------------------------------- #
 
 
-def _chord_sweep(
+def _chord_distances(
     traj: Trajectory, start: int, end: int, criterion: str
-) -> tuple[Sequence[float], bool]:
-    """``(values, vectorized)``: the criterion distance of every interior
-    point of the chord ``start``–``end`` (``"synchronized"`` or
-    ``"perpendicular"``), from the kernel when ``vectorized``."""
-    if end - start - 1 < _NUMPY_MIN_SWEEP:
-        t, x, y = traj.column_lists
-        if criterion == "perpendicular":
-            return perp_distances_py(x, y, start, end), False
-        return sync_distances_py(t, x, y, start, end), False
+) -> np.ndarray:
+    """Criterion distance (``"synchronized"`` or ``"perpendicular"``) of
+    every interior point of the chord ``start``–``end``, as one kernel."""
     t, x, y = traj.columns
     if criterion == "perpendicular":
-        return perp_distances(x, y, start, end), True
-    return sync_distances(t, x, y, start, end), True
+        return perp_distances(x, y, start, end)
+    return sync_distances(t, x, y, start, end)
+
+
+def _chord_distances_py(
+    traj: Trajectory, start: int, end: int, criterion: str
+) -> list[float]:
+    """Scalar mirror of :func:`_chord_distances`."""
+    t, x, y = traj.column_lists
+    if criterion == "perpendicular":
+        return perp_distances_py(x, y, start, end)
+    return sync_distances_py(t, x, y, start, end)
 
 
 def chord_max(
@@ -517,11 +521,11 @@ def chord_max(
     ``(max_distance, index)``, the index (into ``traj``) of the first
     interior point attaining it. Needs ``end - start >= 2``.
     """
-    values, vectorized = _chord_sweep(traj, start, end, criterion)
-    if vectorized:
-        error, offset = max_with_offset(values)  # type: ignore[arg-type]
+    if end - start - 1 < _NUMPY_MIN_SWEEP:
+        values = _chord_distances_py(traj, start, end, criterion)
+        error, offset = max_with_offset_py(values)
     else:
-        error, offset = max_with_offset_py(values)  # type: ignore[arg-type]
+        error, offset = max_with_offset(_chord_distances(traj, start, end, criterion))
     return error, start + 1 + offset
 
 
@@ -537,11 +541,11 @@ def chord_first_above(
 
     The opening-window scan.
     """
-    values, vectorized = _chord_sweep(traj, start, end, criterion)
-    if vectorized:
-        offset = first_above(values, threshold)  # type: ignore[arg-type]
+    if end - start - 1 < _NUMPY_MIN_SWEEP:
+        values = _chord_distances_py(traj, start, end, criterion)
+        offset = first_above_py(values, threshold)
     else:
-        offset = first_above_py(values, threshold)  # type: ignore[arg-type]
+        offset = first_above(_chord_distances(traj, start, end, criterion), threshold)
     return -1 if offset < 0 else start + 1 + offset
 
 
@@ -554,11 +558,12 @@ def chord_indices_above(
 ) -> list[int]:
     """Every interior point of the chord ``start``–``end`` whose criterion
     distance exceeds ``threshold``, as ascending indices into ``traj``."""
-    values, vectorized = _chord_sweep(traj, start, end, criterion)
-    if vectorized:
-        offsets = np.flatnonzero(values > threshold).tolist()  # type: ignore[operator]
-    else:
+    if end - start - 1 < _NUMPY_MIN_SWEEP:
+        values = _chord_distances_py(traj, start, end, criterion)
         offsets = [i for i, value in enumerate(values) if value > threshold]
+    else:
+        values_arr = _chord_distances(traj, start, end, criterion)
+        offsets = np.flatnonzero(values_arr > threshold).tolist()
     return [start + 1 + offset for offset in offsets]
 
 
