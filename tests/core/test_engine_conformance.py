@@ -102,6 +102,61 @@ def conformance_trajectories(
     return Trajectory(t, np.asarray(coords, dtype=float) * 50.0)
 
 
+@st.composite
+def float_trajectories(draw: st.DrawFn) -> Trajectory:
+    """Trajectories with arbitrary float coordinates and time gaps.
+
+    The lattice above makes ties common; these make every last bit of
+    a distance depend on the expression that computed it, so a mirror
+    that drifts from its kernel by one ulp (``hypot`` for
+    ``sqrt(dx*dx + dy*dy)``, a reordered sum) differs here on most
+    inputs.
+    """
+    n = draw(st.integers(3, 40))
+    gaps = draw(st.lists(st.floats(0.01, 100.0), min_size=n - 1, max_size=n - 1))
+    coords = draw(
+        st.lists(
+            st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    t = np.concatenate([[0.0], np.cumsum(gaps)])
+    return Trajectory(t, np.asarray(coords, dtype=float))
+
+
+@settings(max_examples=200, deadline=None)
+@given(traj=float_trajectories())
+def test_mirrors_bit_identical_to_kernels(traj: Trajectory):
+    """Value by value, every scalar mirror equals its numpy kernel."""
+    t, x, y = traj.columns
+    tl, xl, yl = traj.column_lists
+    n = len(traj)
+    for start, end in ((0, n - 1), (0, n // 2 + 1), (n // 3, n - 1)):
+        if end - start < 2:
+            continue
+        assert kernels.sync_distances(t, x, y, start, end).tolist() == (
+            kernels.sync_distances_py(tl, xl, yl, start, end)
+        )
+        assert kernels.perp_distances(x, y, start, end).tolist() == (
+            kernels.perp_distances_py(xl, yl, start, end)
+        )
+    assert kernels.segment_speeds(t, x, y).tolist() == kernels.segment_speeds_py(tl, xl, yl)
+    assert kernels.speed_deltas(t, x, y).tolist() == kernels.speed_deltas_py(tl, xl, yl)
+    deltas = np.column_stack((x - x[0], y[::-1] - y[0]))
+    assert kernels.segment_mean_distances(deltas[:-1], deltas[1:]).tolist() == [
+        kernels.segment_mean_distance_py(v0, v1)
+        for v0, v1 in zip(deltas[:-1].tolist(), deltas[1:].tolist())
+    ]
+    chord = (xl[0], yl[0], xl[-1], yl[-1])
+    assert kernels.chord_point_distances(x, y, *chord).tolist() == [
+        kernels.chord_point_distance_py(px, py, *chord) for px, py in zip(xl, yl)
+    ]
+    assert kernels.chord_line_distances(x, y, *chord).tolist() == [
+        kernels.chord_line_distance_py(px, py, *chord) for px, py in zip(xl, yl)
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(ALGORITHM_PARAMS))
 @settings(max_examples=200, deadline=None)
 @given(traj=conformance_trajectories())
