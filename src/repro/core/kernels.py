@@ -18,18 +18,24 @@ order* (for example ``sqrt(dx*dx + dy*dy)`` rather than ``hypot``, whose
 libm rounding may differ from the explicit form by one ulp), so for any
 input they produce **bit-identical** values.
 
-Which side runs is decided here, per sweep, from the sweep's length: a
-numpy call pays a fixed cost of several microseconds (slices,
-temporaries, ufunc dispatch) where the mirror pays a fraction of a
-microsecond per value, so a sweep shorter than one measured cutoff runs
-the mirror and a longer one the kernel (``docs/PERFORMANCE.md`` has the
-crossover table). Callers ask one question per sweep — :func:`chord_max`,
-:func:`chord_first_above`, :func:`speed_jumps`, :func:`distance_integral`
-and the rest — and never choose a side. One compression therefore mixes
-both sides, which is why bit-identity binds every run and not only the
-tests; ``tests/core/test_engine_conformance.py`` forces each side by
-patching the cutoff and requires identical retained indices and
-bit-identical error reports.
+A sweep that callers run over ranges of any length — a chord's interior,
+an integral over a span or a time grid, the maximum of a slice — is one
+question to this module (:func:`chord_max`, :func:`chord_first_above`,
+:func:`chord_indices_above`, :func:`chord_integral`,
+:func:`distance_integral`, :func:`range_max`), answered on the side the
+sweep's length selects: a numpy call pays a fixed cost of several
+microseconds (slices, temporaries, ufunc dispatch) where the mirror pays
+a fraction of a microsecond per value, so a sweep shorter than one
+measured cutoff runs the mirror and a longer one the kernel
+(``docs/PERFORMANCE.md`` has each sweep's crossover). Callers never
+choose a side. A sweep over a whole trajectory (segment speeds, speed
+jumps, every point's distance to its chord) calls the kernel directly:
+numpy wins those from 10–20 values, and their mirrors serve only as
+the tests' reference. One compression therefore mixes both sides, which
+is why bit-identity binds every run and not only the tests;
+``tests/core/test_engine_conformance.py`` forces each side by patching
+the cutoff, requires identical retained indices and bit-identical error
+reports, and compares every mirror with its kernel value by value.
 """
 
 from __future__ import annotations
@@ -68,11 +74,7 @@ __all__ = [
     "chord_indices_above",
     "chord_integral",
     "range_max",
-    "speeds",
-    "speed_jumps",
-    "norms",
     "distance_integral",
-    "point_chord_distances",
 ]
 
 #: Shortest sweep, in values computed, that runs the numpy kernel; a
@@ -417,20 +419,26 @@ def segment_mean_distances(v0: np.ndarray, v1: np.ndarray) -> np.ndarray:
 def chord_point_distances(
     px: np.ndarray,
     py: np.ndarray,
-    ax: float,
-    ay: float,
-    bx: float,
-    by: float,
+    ax: np.ndarray | float,
+    ay: np.ndarray | float,
+    bx: np.ndarray | float,
+    by: np.ndarray | float,
 ) -> np.ndarray:
-    """Batch distances from points to the closed segment ``a``–``b``."""
+    """Batch distances from points to closed segments ``a``–``b``.
+
+    The chord ends broadcast against the points: floats measure every
+    point against one chord, arrays give point ``i`` its own chord.
+    """
     abx = bx - ax
     aby = by - ay
     denom = abx * abx + aby * aby
     rx = px - ax
     ry = py - ay
-    if denom == 0.0:
-        return np.sqrt(rx * rx + ry * ry)
-    u = np.clip((rx * abx + ry * aby) / denom, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.clip((rx * abx + ry * aby) / denom, 0.0, 1.0)
+    # u = 0 on a zero-length chord leaves dx = rx and dy = ry exactly,
+    # the mirror's degenerate branch.
+    u = np.where(denom == 0.0, 0.0, u)
     dx = rx - u * abx
     dy = ry - u * aby
     return np.sqrt(dx * dx + dy * dy)
@@ -456,20 +464,23 @@ def chord_point_distance_py(
 def chord_line_distances(
     px: np.ndarray,
     py: np.ndarray,
-    ax: float,
-    ay: float,
-    bx: float,
-    by: float,
+    ax: np.ndarray | float,
+    ay: np.ndarray | float,
+    bx: np.ndarray | float,
+    by: np.ndarray | float,
 ) -> np.ndarray:
-    """Batch distances from points to the infinite line through ``a``–``b``."""
+    """Batch distances from points to the infinite lines through ``a``–``b``.
+
+    Chord ends broadcast as in :func:`chord_point_distances`.
+    """
     abx = bx - ax
     aby = by - ay
     norm = np.sqrt(abx * abx + aby * aby)
     rx = px - ax
     ry = py - ay
-    if norm == 0.0:
-        return np.sqrt(rx * rx + ry * ry)
-    return np.abs(rx * aby - ry * abx) / norm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        across = np.abs(rx * aby - ry * abx) / norm
+    return np.where(norm == 0.0, np.sqrt(rx * rx + ry * ry), across)
 
 
 def chord_line_distance_py(
@@ -577,33 +588,6 @@ def range_max(values: np.ndarray, start: int, end: int) -> tuple[float, int]:
     return best, start + offset
 
 
-def speeds(traj: Trajectory) -> np.ndarray:
-    """Derived speed of every segment of ``traj``, shape ``(n - 1,)``."""
-    if len(traj) - 1 < _NUMPY_MIN_SWEEP:
-        return np.asarray(segment_speeds_py(*traj.column_lists), dtype=float)
-    return segment_speeds(*traj.columns)
-
-
-def speed_jumps(traj: Trajectory) -> np.ndarray:
-    """Speed jump ``|v_i - v_{i-1}|`` at every interior point of ``traj``.
-
-    ``out[j]`` is the jump at point ``j + 1``; shape ``(n - 2,)``.
-    """
-    if len(traj) - 2 < _NUMPY_MIN_SWEEP:
-        return np.asarray(speed_deltas_py(*traj.column_lists), dtype=float)
-    return speed_deltas(*traj.columns)
-
-
-def norms(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """``sqrt(dx*dx + dy*dy)`` element by element."""
-    if dx.size < _NUMPY_MIN_SWEEP:
-        return np.asarray(
-            [math.sqrt(a * a + b * b) for a, b in zip(dx.tolist(), dy.tolist())],
-            dtype=float,
-        )
-    return np.sqrt(dx * dx + dy * dy)
-
-
 def _distance_integral_py(
     deltas: Sequence[Sequence[float]], weights: Sequence[float]
 ) -> float:
@@ -657,23 +641,3 @@ def chord_integral(traj: Trajectory, start: int, end: int) -> float:
     return distance_integral(
         np.column_stack((dx, dy)), t[start + 1 : end + 1] - t[start:end]
     )
-
-
-def point_chord_distances(
-    traj: Trajectory,
-    lo: int,
-    hi: int,
-    a: tuple[float, float],
-    b: tuple[float, float],
-    to_segment: bool = True,
-) -> Sequence[float]:
-    """Distances of points ``lo <= i < hi`` of ``traj`` to the closed
-    segment ``a``–``b`` (or, with ``to_segment=False``, its line)."""
-    (ax, ay), (bx, by) = a, b
-    if hi - lo < _NUMPY_MIN_SWEEP:
-        _, px, py = traj.column_lists
-        measure_py = chord_point_distance_py if to_segment else chord_line_distance_py
-        return [measure_py(px[i], py[i], ax, ay, bx, by) for i in range(lo, hi)]
-    _, px_arr, py_arr = traj.columns
-    measure = chord_point_distances if to_segment else chord_line_distances
-    return measure(px_arr[lo:hi], py_arr[lo:hi], ax, ay, bx, by)

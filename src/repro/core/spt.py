@@ -55,7 +55,7 @@ def speed_violations(traj: Trajectory, max_speed_error: float) -> np.ndarray:
     n = len(traj)
     out = np.zeros(n, dtype=bool)
     if n >= 3:
-        out[1:-1] = kernels.speed_jumps(traj) > max_speed_error
+        out[1:-1] = kernels.speed_deltas(*traj.columns) > max_speed_error
     return out
 
 
@@ -198,7 +198,7 @@ class TDSP(Compressor):
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         speed_diff = np.zeros(len(traj))
-        speed_diff[1:-1] = kernels.speed_jumps(traj)
+        speed_diff[1:-1] = kernels.speed_deltas(*traj.columns)
 
         def segment_error(tr: Trajectory, start: int, end: int) -> tuple[float, int]:
             worst, cut = kernels.range_max(speed_diff, start + 1, end)

@@ -75,7 +75,9 @@ def mean_speed_error(original: Trajectory, approx: Trajectory) -> float:
         np.searchsorted(approx.t, midpoints, side="right") - 1, 0, len(approx) - 2
     )
     weights = t[1:] - t[:-1]
-    abs_diff = np.abs(kernels.speeds(original) - kernels.speeds(approx)[idx])
+    original_speeds = kernels.segment_speeds(*original.columns)
+    approx_speeds = kernels.segment_speeds(*approx.columns)
+    abs_diff = np.abs(original_speeds - approx_speeds[idx])
     return math.fsum((abs_diff * weights).tolist()) / math.fsum(weights.tolist())
 
 

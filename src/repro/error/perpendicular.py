@@ -58,23 +58,14 @@ def perpendicular_deltas(
         Distances, shape ``(len(original),)``; retained points contribute
         zero.
     """
-    assignment = _chord_assignment(original, approx)
-    _, ax, ay = approx.column_lists
-    out = np.empty(len(original))
-    # The assignment never decreases, so each chord covers one run of
-    # consecutive original points: one sweep per run.
-    cuts = (np.flatnonzero(np.diff(assignment)) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, len(original)]):
-        seg = int(assignment[lo])
-        out[lo:hi] = kernels.point_chord_distances(
-            original,
-            lo,
-            hi,
-            (ax[seg], ay[seg]),
-            (ax[seg + 1], ay[seg + 1]),
-            to_segment,
-        )
-    return out
+    seg = _chord_assignment(original, approx)
+    _, px, py = original.columns
+    _, ax, ay = approx.columns
+    measure = (
+        kernels.chord_point_distances if to_segment else kernels.chord_line_distances
+    )
+    # One sweep over the whole original, each point against its own chord.
+    return measure(px, py, ax[seg], ay[seg], ax[seg + 1], ay[seg + 1])
 
 
 def mean_perpendicular_error(

@@ -94,8 +94,8 @@ def synchronized_deltas(original: Trajectory, approx: Trajectory) -> np.ndarray:
     """
     _check_same_interval(original, approx)
     _, approx_positions = _synchronized_positions(original, approx, original.t)
-    diff = original.xy - approx_positions
-    return kernels.norms(diff[:, 0], diff[:, 1])
+    dx, dy = (original.xy - approx_positions).T
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def mean_synchronized_error(original: Trajectory, approx: Trajectory) -> float:
@@ -130,8 +130,8 @@ def max_synchronized_error(original: Trajectory, approx: Trajectory) -> float:
     _check_same_interval(original, approx)
     grid = merge_grids(original.t, approx.t)
     p_pos, a_pos = _synchronized_positions(original, approx, grid)
-    diff = p_pos - a_pos
-    return float(kernels.norms(diff[:, 0], diff[:, 1]).max())
+    dx, dy = (p_pos - a_pos).T
+    return float(np.sqrt(dx * dx + dy * dy).max())
 
 
 def mean_synchronized_error_sampled(

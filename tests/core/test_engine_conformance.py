@@ -155,6 +155,18 @@ def test_mirrors_bit_identical_to_kernels(traj: Trajectory):
     assert kernels.chord_line_distances(x, y, *chord).tolist() == [
         kernels.chord_line_distance_py(px, py, *chord) for px, py in zip(xl, yl)
     ]
+    # One chord per point, as perpendicular_deltas sweeps them; every
+    # third chord has zero length.
+    bx, by = np.roll(x, 2), np.roll(y, 2)
+    bx[::3], by[::3] = x[::3], y[::3]
+    per_point = (np.roll(x, 1), np.roll(y, 1), x, y, bx, by)
+    rows = list(zip(*(column.tolist() for column in per_point)))
+    assert kernels.chord_point_distances(*per_point).tolist() == [
+        kernels.chord_point_distance_py(*row) for row in rows
+    ]
+    assert kernels.chord_line_distances(*per_point).tolist() == [
+        kernels.chord_line_distance_py(*row) for row in rows
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(ALGORITHM_PARAMS))
