@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.error.synchronized import segment_mean_distance
+from repro.core import kernels
 from repro.exceptions import TrajectoryError
 from repro.trajectory.trajectory import Trajectory
 
@@ -71,10 +71,7 @@ def mean_synchronized_distance(a: Trajectory, b: Trajectory) -> float:
     """
     grid = _evaluation_grid(a, b)
     deltas = a.positions_at(grid) - b.positions_at(grid)
-    weights = np.diff(grid)
-    total = 0.0
-    for i in range(grid.size - 1):
-        total += weights[i] * segment_mean_distance(deltas[i], deltas[i + 1])
+    total = kernels.distance_integral(deltas, np.diff(grid))
     return total / float(grid[-1] - grid[0])
 
 
