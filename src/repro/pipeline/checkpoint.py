@@ -41,11 +41,33 @@ JOURNAL_NAME = "journal.jsonl"
 MANIFEST_FORMAT = 1
 
 
+def _without_engine(compressor: str) -> str:
+    """A compressor label minus its ``engine`` entry, if it has one.
+
+    Manifests written while compressors still took an ``engine``
+    carry it: ``td-tr:epsilon=30,engine=python`` from a spec,
+    ``TDTR(engine='numpy', epsilon=30.0, traversal='iterative')`` from
+    an instance. The engine never changed a result, so such a run
+    resumes as the same run without it.
+    """
+    if "engine=" not in compressor:
+        return compressor
+    if compressor.endswith(")"):
+        head, _, args = compressor[:-1].partition("(")
+        kept = [arg for arg in args.split(", ") if not arg.startswith("engine=")]
+        return f"{head}({', '.join(kept)})"
+    head, _, params = compressor.partition(":")
+    kept = [param for param in params.split(",") if not param.startswith("engine=")]
+    return f"{head}:{','.join(kept)}" if kept else head
+
+
 def read_manifest(directory: "str | Path") -> dict[str, Any]:
     """Read a checkpoint's manifest (what the run was configured as).
 
     The CLI's ``--resume`` path uses this to rebuild the engine with the
-    original configuration instead of trusting re-typed flags.
+    original configuration instead of trusting re-typed flags. An
+    ``engine`` entry in the stored compressor label is dropped (see
+    :func:`_without_engine`).
 
     Raises:
         CheckpointError: missing or unreadable manifest.
@@ -61,6 +83,8 @@ def read_manifest(directory: "str | Path") -> dict[str, Any]:
         raise CheckpointError(f"{path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")
+    if isinstance(manifest.get("compressor"), str):
+        manifest["compressor"] = _without_engine(manifest["compressor"])
     return manifest
 
 

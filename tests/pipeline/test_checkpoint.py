@@ -50,6 +50,24 @@ class TestManifest:
         with pytest.raises(CheckpointError, match="item_ids"):
             RunCheckpoint.open(tmp_path / "ck", changed)
 
+    @pytest.mark.parametrize(
+        "stored, current",
+        [
+            ("td-tr:epsilon=30,engine=python", "td-tr:epsilon=30"),
+            ("td-tr:engine=numpy", "td-tr"),
+            ("TDTR(engine='numpy', epsilon=30.0)", "TDTR(epsilon=30.0)"),
+        ],
+    )
+    def test_stored_engine_entry_is_dropped(self, tmp_path, stored, current):
+        """Manifests written while compressors took an ``engine`` still
+        match the same run configured without one."""
+        directory = tmp_path / "ck"
+        directory.mkdir()
+        legacy = {"format": MANIFEST_FORMAT, **MANIFEST, "compressor": stored}
+        (directory / MANIFEST_NAME).write_text(json.dumps(legacy))
+        assert read_manifest(directory)["compressor"] == current
+        RunCheckpoint.open(directory, dict(MANIFEST, compressor=current)).close()
+
     def test_read_manifest_missing_raises(self, tmp_path):
         with pytest.raises(CheckpointError, match="not a checkpoint"):
             read_manifest(tmp_path / "nope")

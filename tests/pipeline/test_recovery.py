@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import TDTR
 from repro.exceptions import CheckpointError, PipelineError, TrajectoryError
 from repro.pipeline import executor as executor_module
-from repro.pipeline.checkpoint import JOURNAL_NAME, RunCheckpoint
+from repro.pipeline.checkpoint import JOURNAL_NAME, MANIFEST_NAME, RunCheckpoint
 from repro.pipeline.engine import BatchEngine, load_fleet
 from repro.pipeline.executor import (
     FailurePolicy,
@@ -206,6 +207,23 @@ class TestResume:
             assert a.item_id == b.item_id
             assert a.index == b.index
             assert (a.indices == b.indices).all()
+
+    def test_resumes_instance_manifest_that_names_an_engine(
+        self, csv_fleet_dir, tmp_path
+    ):
+        """An instance's repr carried ``engine='numpy'`` while compressors
+        took one; such a checkpoint resumes under the same instance."""
+        engine = BatchEngine(TDTR(epsilon=30.0))
+        ck = tmp_path / "ck"
+        engine.run(csv_fleet_dir, checkpoint=ck)
+        manifest_path = ck / MANIFEST_NAME
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["compressor"] == "TDTR(epsilon=30.0, traversal='iterative')"
+        manifest["compressor"] = (
+            "TDTR(engine='numpy', epsilon=30.0, traversal='iterative')"
+        )
+        manifest_path.write_text(json.dumps(manifest))
+        assert engine.run(csv_fleet_dir, checkpoint=ck).items_resumed == 4
 
     def test_partial_journal_reruns_the_rest(self, csv_fleet_dir, tmp_path):
         engine = BatchEngine("td-tr:epsilon=30")

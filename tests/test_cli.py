@@ -396,6 +396,22 @@ class TestPipeline:
         assert main(["pipeline", str(fleet_dir), "-w", "2"]) == 0
         assert "2/2 items ok" in capsys.readouterr().out
 
+    def test_resumes_checkpoint_whose_spec_names_an_engine(
+        self, fleet_dir, tmp_path, capsys
+    ):
+        """``pipeline --engine python`` stored its spec with
+        ``engine=python``; such a checkpoint still resumes."""
+        ck = tmp_path / "ck"
+        assert main(["pipeline", str(fleet_dir), "-s", "td-tr:epsilon=30",
+                     "--checkpoint", str(ck)]) == 0
+        manifest_path = ck / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["compressor"] = "td-tr:epsilon=30,engine=python"
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["pipeline", str(fleet_dir), "--resume", str(ck)]) == 0
+        assert "resumed 2 already-completed item(s)" in capsys.readouterr().out
+
     def test_invalid_spec_exits_2(self, fleet_dir, capsys):
         assert main(["pipeline", str(fleet_dir), "-s", "td-tr:oops"]) == 2
         assert "key=value" in capsys.readouterr().err
