@@ -5,7 +5,8 @@ rescan-the-window-on-every-growth behaviour) as the executable
 specification, and ship an equivalent that tests each point's speed once
 and evaluates each window's synchronized distances in one kernel sweep.
 This bench pins that they select identical points and measures the
-constant-factor gap.
+constant-factor gap, each side timed as its best of ``ROUNDS``
+interleaved rounds.
 """
 
 from __future__ import annotations
@@ -21,21 +22,30 @@ from repro.experiments.reporting import render_table
 
 DIST_EPS = 50.0
 SPEED_EPS = 5.0
+#: Each side's time is its best over this many interleaved rounds: one
+#: pass over the dataset takes about 10 ms, short enough for a single
+#: noisy round on a shared runner to flip the speedup assertion.
+ROUNDS = 15
 
 
 def test_ablation_spt_implementations(benchmark, dataset, results_dir):
     def run_shipped():
         return [OPWSP(max_dist_error=DIST_EPS, max_speed_error=SPEED_EPS).compress(traj).indices for traj in dataset]
 
+    def run_faithful():
+        return [spt_paper_indices(traj, DIST_EPS, SPEED_EPS) for traj in dataset]
+
     shipped = benchmark.pedantic(run_shipped, rounds=1, iterations=1)
+    faithful = run_faithful()
 
-    started = time.perf_counter()
-    faithful = [spt_paper_indices(traj, DIST_EPS, SPEED_EPS) for traj in dataset]
-    faithful_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    run_shipped()
-    shipped_seconds = time.perf_counter() - started
+    faithful_seconds = shipped_seconds = float("inf")
+    for _ in range(ROUNDS):
+        started = time.perf_counter()
+        run_faithful()
+        faithful_seconds = min(faithful_seconds, time.perf_counter() - started)
+        started = time.perf_counter()
+        run_shipped()
+        shipped_seconds = min(shipped_seconds, time.perf_counter() - started)
 
     for traj, a, b in zip(dataset, faithful, shipped):
         np.testing.assert_array_equal(a, b, err_msg=traj.object_id or "?")
