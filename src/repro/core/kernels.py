@@ -30,9 +30,9 @@ measured cutoff runs the mirror and a longer one the kernel
 (``docs/PERFORMANCE.md`` has each sweep's crossover). Callers never
 choose a side. A sweep over a whole trajectory (segment speeds, speed
 jumps, every point's distance to its chord) calls the kernel directly:
-numpy wins those from 10–20 values, and their mirrors serve only as
-the tests' reference. One compression therefore mixes both sides, which
-is why bit-identity binds every run and not only the tests;
+numpy wins those from 32 values or fewer, and their mirrors serve only
+as the tests' reference. One compression therefore mixes both sides,
+which is why bit-identity binds every run and not only the tests;
 ``tests/core/test_engine_conformance.py`` forces each side by patching
 the cutoff, requires identical retained indices and bit-identical error
 reports, and compares every mirror with its kernel value by value.
