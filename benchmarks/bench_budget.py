@@ -2,19 +2,25 @@
 
 Streams deterministic random-walk trajectories through the online
 SQUISH-E and STTrace compressors (``repro.streaming.budget``) at a
-sweep of point budgets, and cross-checks each curve against the
-*offline* budgeted oracle (``td-tr-budget``, best-first top-down
-splitting with the synchronized criterion) on the same input:
+sweep of point budgets, and sets each curve against an *offline*
+budgeted reference (``td-tr-budget``, greedy best-first top-down
+splitting with the synchronized criterion) on the same input. The
+report calls that reference the ``oracle``, but it is not an optimum:
+on the quick workload its mean SED is 1.31–1.37× the least possible at
+the same budgets, as an exact dynamic program finds them.
 
 * **budget invariant** — the net retained stream never exceeds the
   budget, keeps both endpoints, and stays strictly time-ordered; any
   violation fails the bench outright.
 * **sed_ratio** — mean synchronized (SED) error of the online result
-  over the offline oracle's, per (algorithm, budget) point. Online
-  one-pass eviction cannot beat an offline algorithm that sees the
-  whole trajectory, so the ratio measures the price of streaming; the
-  CI gate pins it so a refactor that silently degrades eviction
-  quality fails loudly.
+  over the offline reference's, per (algorithm, budget) point: what
+  streaming costs against a greedy offline compressor that sees the
+  whole trajectory. The reference is greedy, so nothing bounds the
+  ratio below by 1. The tier-1 test
+  ``tests/streaming/test_budget_curves.py`` requires the quick report,
+  these ratios included, to equal the committed
+  ``benchmarks/baselines/BENCH_budget_ci.json`` exactly, so a refactor
+  that silently changes eviction quality fails loudly.
 
 A dead-reckoning sweep (epsilon, not budget, is its knob) is included
 informationally: retained points and SED per epsilon, with the online
@@ -122,12 +128,12 @@ def bench(
     budgets: tuple[int, ...],
     output: "Path | None" = OUTPUT,
 ) -> dict:
-    """Sweep budgets, compare against the offline oracle, write report."""
+    """Sweep budgets, compare against the offline reference, write report."""
     workload = make_workload(n_trajectories, fixes_each)
     originals = [_as_trajectory(fixes) for fixes in workload]
     failures: list[str] = []
 
-    # Oracle SEDs once per budget (shared by both online algorithms).
+    # Reference SEDs once per budget (shared by both online algorithms).
     oracle_sed: dict[int, float] = {}
     for budget in budgets:
         oracle = make_compressor(ORACLE, budget=budget)
@@ -235,7 +241,7 @@ def bench(
 
 
 def test_bench_budget_quick(tmp_path):
-    """Suite-sized smoke: invariants hold, curves descend, oracle close."""
+    """Suite-sized smoke: invariants hold, curves descend, reference close."""
     report = bench(
         3, 200, (10, 25), output=tmp_path / "BENCH_budget.json"
     )

@@ -33,7 +33,11 @@ from repro.core.angular import AngularChange
 from repro.core.base import CompressionResult, Compressor
 from repro.core.bottom_up import BottomUp
 from repro.core.budget import BottomUpBudget, BottomUpTotalError, TDTRBudget
-from repro.core.dead_reckoning import DeadReckoning, dead_reckoning_indices
+from repro.core.dead_reckoning import (
+    DeadReckoner,
+    DeadReckoning,
+    dead_reckoning_indices,
+)
 from repro.core.douglas_peucker import (
     DouglasPeucker,
     perpendicular_segment_error,
@@ -47,13 +51,8 @@ from repro.core.one_pass import (
     RectangleRegion,
     one_pass_indices,
 )
-from repro.core.opening_window import (
-    BOPW,
-    NOPW,
-    opening_window_indices,
-    perpendicular_scan,
-)
-from repro.core.opw_tr import OPWTR, synchronized_scan
+from repro.core.opening_window import BOPW, NOPW, OpeningWindow
+from repro.core.opw_tr import OPWTR
 from repro.core.registry import (
     COMPRESSORS,
     CompressorSpec,
@@ -62,13 +61,7 @@ from repro.core.registry import (
     parse_compressor_spec,
 )
 from repro.core.sliding_window import SlidingWindow
-from repro.core.spt import (
-    OPWSP,
-    TDSP,
-    spatiotemporal_scan,
-    speed_violations,
-    spt_paper_indices,
-)
+from repro.core.spt import OPWSP, TDSP, speed_violations, spt_paper_indices
 from repro.core.td_tr import TDTR, synchronized_segment_error
 from repro.core.uniform import DistanceThreshold, EveryIth
 
@@ -83,6 +76,7 @@ __all__ = [
     "CompressionResult",
     "Compressor",
     "CompressorSpec",
+    "DeadReckoner",
     "DeadReckoning",
     "DistanceThreshold",
     "DouglasPeucker",
@@ -91,6 +85,7 @@ __all__ = [
     "OPERB",
     "OPWSP",
     "OPWTR",
+    "OpeningWindow",
     "PolygonRegion",
     "RectangleRegion",
     "SlidingWindow",
@@ -102,13 +97,9 @@ __all__ = [
     "make_compressor",
     "one_pass_indices",
     "parse_compressor_spec",
-    "opening_window_indices",
-    "perpendicular_scan",
     "perpendicular_segment_error",
-    "spatiotemporal_scan",
     "speed_violations",
     "spt_paper_indices",
-    "synchronized_scan",
     "synchronized_segment_error",
     "top_down_indices",
     "top_down_indices_recursive",

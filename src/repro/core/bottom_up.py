@@ -52,7 +52,9 @@ class BottomUp(Compressor):
         """Max error of the chord ``start``–``end`` over interior points."""
         if end - start < 2:
             return 0.0
-        return kernels.chord_max(traj, start, end, self.criterion)[0]
+        return kernels.chord_max(
+            traj.column_lists, start, end, self.criterion, traj.columns
+        )[0]
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         n = len(traj)

@@ -74,7 +74,9 @@ class TDTRBudget(Compressor):
         def push(start: int, end: int) -> None:
             if end - start < 2:
                 return
-            error, cut = kernels.chord_max(traj, start, end, self.criterion)
+            error, cut = kernels.chord_max(
+                traj.column_lists, start, end, self.criterion, traj.columns
+            )
             if error > 0.0:
                 heapq.heappush(heap, (-error, start, end, cut))
 
@@ -113,7 +115,9 @@ class BottomUpBudget(Compressor):
     def _merge_cost(self, traj: Trajectory, start: int, end: int) -> float:
         if end - start < 2:
             return 0.0
-        return kernels.chord_max(traj, start, end, self.criterion)[0]
+        return kernels.chord_max(
+            traj.column_lists, start, end, self.criterion, traj.columns
+        )[0]
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         n = len(traj)
@@ -176,7 +180,7 @@ class BottomUpTotalError(Compressor):
         """Error integral of one approx segment over its original span."""
         if end - start < 2:
             return 0.0
-        return kernels.chord_integral(traj, start, end)
+        return kernels.chord_integral(traj.column_lists, start, end, traj.columns)
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
         n = len(traj)

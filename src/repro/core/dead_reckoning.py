@@ -31,39 +31,69 @@ import numpy as np
 from repro.core.base import Compressor, require_positive
 from repro.trajectory.trajectory import Trajectory
 
-__all__ = ["DeadReckoning", "dead_reckoning_indices"]
+__all__ = ["DeadReckoner", "DeadReckoning", "dead_reckoning_indices"]
 
 
-def dead_reckoning_indices(traj: Trajectory, epsilon: float) -> np.ndarray:
-    """Retained indices under a dead-reckoning update policy.
+class DeadReckoner:
+    """The dead-reckoning decision: an anchor, its velocity, and the test.
 
     The anchor's velocity is the derived velocity of its *incoming*
     segment (available causally; the very first anchor, having no
     incoming segment, predicts a stationary object). A point is retained
     when its observed position deviates more than ``epsilon`` from the
     anchor's extrapolation; it then becomes the new anchor.
+    :func:`dead_reckoning_indices` and
+    :class:`~repro.streaming.budget.StreamingDeadReckoning` both decide
+    through this class.
+
+    Args:
+        epsilon: prediction-error threshold in metres.
+        t, x, y: the first anchor.
+    """
+
+    __slots__ = ("epsilon", "t", "x", "y", "vx", "vy")
+
+    def __init__(self, epsilon: float, t: float, x: float, y: float) -> None:
+        self.epsilon = require_positive("epsilon", epsilon)
+        self.t, self.x, self.y = t, x, y
+        self.vx = self.vy = 0.0  # first anchor: no incoming segment yet
+
+    def deviates(self, t: float, x: float, y: float) -> bool:
+        """Whether the point ``(t, x, y)`` lies more than epsilon from
+        the anchor's extrapolation to time ``t``."""
+        elapsed = t - self.t
+        dx = x - (self.x + self.vx * elapsed)
+        dy = y - (self.y + self.vy * elapsed)
+        return math.sqrt(dx * dx + dy * dy) > self.epsilon
+
+    def reanchor(
+        self, pt: float, px: float, py: float, t: float, x: float, y: float
+    ) -> None:
+        """Make ``(t, x, y)`` the anchor, moving at the velocity of its
+        incoming segment from the point ``(pt, px, py)``."""
+        dt = t - pt
+        self.t, self.x, self.y = t, x, y
+        self.vx = (x - px) / dt
+        self.vy = (y - py) / dt
+
+
+def dead_reckoning_indices(traj: Trajectory, epsilon: float) -> np.ndarray:
+    """Retained indices under a dead-reckoning update policy
+    (:class:`DeadReckoner` over every interior point).
 
     Args:
         traj: input trajectory (``len >= 3``; the base class handles
             shorter input).
         epsilon: prediction-error threshold in metres.
     """
-    epsilon = require_positive("epsilon", epsilon)
     t, x, y = traj.column_lists
     n = len(t)
+    reckoner = DeadReckoner(epsilon, t[0], x[0], y[0])
     keep = [0]
-    anchor = 0
-    vx = vy = 0.0  # first anchor: no incoming segment yet
     for i in range(1, n - 1):
-        elapsed = t[i] - t[anchor]
-        dx = x[i] - (x[anchor] + vx * elapsed)
-        dy = y[i] - (y[anchor] + vy * elapsed)
-        if math.sqrt(dx * dx + dy * dy) > epsilon:
+        if reckoner.deviates(t[i], x[i], y[i]):
             keep.append(i)
-            anchor = i
-            dt = t[i] - t[i - 1]
-            vx = (x[i] - x[i - 1]) / dt
-            vy = (y[i] - y[i - 1]) / dt
+            reckoner.reanchor(t[i - 1], x[i - 1], y[i - 1], t[i], x[i], y[i])
     keep.append(n - 1)
     return np.asarray(keep, dtype=int)
 

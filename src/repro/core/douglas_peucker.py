@@ -56,7 +56,9 @@ def perpendicular_segment_error(
     traj: Trajectory, start: int, end: int
 ) -> tuple[float, int]:
     """NDP's segment error: max perpendicular distance to the chord line."""
-    return kernels.chord_max(traj, start, end, "perpendicular")
+    return kernels.chord_max(
+        traj.column_lists, start, end, "perpendicular", traj.columns
+    )
 
 
 def top_down_indices(

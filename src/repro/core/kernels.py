@@ -19,19 +19,25 @@ libm rounding may differ from the explicit form by one ulp), so for any
 input they produce **bit-identical** values.
 
 A sweep that callers run over ranges of any length — a chord's interior,
-an integral over a span or a time grid, the maximum of a slice — is one
-question to this module (:func:`chord_max`, :func:`chord_first_above`,
-:func:`chord_indices_above`, :func:`chord_integral`,
+a run of speed jumps, an integral over a span or a time grid, the
+maximum of a slice — is one question to this module (:func:`chord_max`,
+:func:`chord_first_above`, :func:`chord_indices_above`,
+:func:`chord_integral`, :func:`speed_jumps_above`,
 :func:`distance_integral`, :func:`range_max`), answered on the side the
 sweep's length selects: a numpy call pays a fixed cost of several
 microseconds (slices, temporaries, ufunc dispatch) where the mirror pays
 a fraction of a microsecond per value, so a sweep shorter than one
 measured cutoff runs the mirror and a longer one the kernel
 (``docs/PERFORMANCE.md`` has each sweep's crossover). Callers never
-choose a side. A sweep over a whole trajectory (segment speeds, speed
-jumps, every point's distance to its chord) calls the kernel directly:
-numpy wins those from 32 values or fewer, and their mirrors serve only
-as the tests' reference. One compression therefore mixes both sides,
+choose a side. The point-series questions take ``(t, x, y)`` columns,
+not a trajectory, so a batch compression and a streaming window ask the
+same question: the scalar side reads Python float lists, and the numpy
+side reads the caller's arrays when it has them (a trajectory's cached
+``columns``) or converts just the slice it sweeps (a streaming window).
+A sweep over a whole trajectory (segment speeds, every point's distance
+to its chord) calls the kernel directly: numpy wins those from 32
+values or fewer, and their mirrors serve only as the tests' reference.
+One compression therefore mixes both sides,
 which is why bit-identity binds every run and not only the tests;
 ``tests/core/test_engine_conformance.py`` forces each side by patching
 the cutoff, requires identical retained indices and bit-identical error
@@ -41,18 +47,16 @@ reports, and compares every mirror with its kernel value by value.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import TrajectoryError
 
-if TYPE_CHECKING:
-    from repro.trajectory.trajectory import Trajectory
-
 __all__ = [
     "sync_distances",
     "sync_distances_py",
+    "sync_distance_py",
     "perp_distances",
     "perp_distances_py",
     "segment_speeds",
@@ -73,6 +77,7 @@ __all__ = [
     "chord_first_above",
     "chord_indices_above",
     "chord_integral",
+    "speed_jumps_above",
     "range_max",
     "distance_integral",
 ]
@@ -81,6 +86,14 @@ __all__ = [
 #: shorter sweep runs the scalar mirror. Set from the measured crossover
 #: of the two sides (``docs/PERFORMANCE.md``).
 _NUMPY_MIN_SWEEP = 48
+
+#: A point series' ``(t, x, y)`` columns as Python float lists, the
+#: scalar side's input (``Trajectory.column_lists``, or a streaming
+#: window's own lists).
+Columns = tuple[Sequence[float], Sequence[float], Sequence[float]]
+
+#: The same columns as numpy float arrays (``Trajectory.columns``).
+Arrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # --------------------------------------------------------------------- #
@@ -132,6 +145,26 @@ def sync_distances_py(
         dy = y[i] - (ys + ratio * ey)
         out.append(math.sqrt(dx * dx + dy * dy))
     return out
+
+
+def sync_distance_py(
+    start: Sequence[float], point: Sequence[float], end: Sequence[float]
+) -> float:
+    """Synchronized distance of one ``(t, x, y)`` point to the chord
+    ``start``–``end``: one value of :func:`sync_distances_py`, in its
+    terms and order.
+
+    The single-point question of the budget compressors (SQUISH-E and
+    STTrace score a buffered point against its two neighbours), which
+    hold :class:`~repro.types.Fix` tuples rather than columns.
+    """
+    ts, xs, ys = start
+    ti, xi, yi = point
+    te, xe, ye = end
+    ratio = (ti - ts) / (te - ts)
+    dx = xi - (xs + ratio * (xe - xs))
+    dy = yi - (ys + ratio * (ye - ys))
+    return math.sqrt(dx * dx + dy * dy)
 
 
 # --------------------------------------------------------------------- #
@@ -502,80 +535,144 @@ def chord_line_distance_py(
 # --------------------------------------------------------------------- #
 
 
+def _sweep_arrays(
+    columns: Columns, arrays: Arrays | None, start: int, end: int
+) -> tuple[Arrays, int, int]:
+    """The numpy columns a sweep over points ``start``..``end`` runs on,
+    and the sweep's ends on them: the caller's arrays as they are, or
+    (a streaming window holds lists only) just the slice it reads."""
+    if arrays is not None:
+        return arrays, start, end
+    span = slice(start, end + 1)
+    t, x, y = (np.array(column[span]) for column in columns)
+    return (t, x, y), 0, end - start
+
+
 def _chord_distances(
-    traj: Trajectory, start: int, end: int, criterion: str
+    columns: Columns, arrays: Arrays | None, start: int, end: int, criterion: str
 ) -> np.ndarray:
     """Criterion distance (``"synchronized"`` or ``"perpendicular"``) of
     every interior point of the chord ``start``–``end``, as one kernel."""
-    t, x, y = traj.columns
+    (t, x, y), start, end = _sweep_arrays(columns, arrays, start, end)
     if criterion == "perpendicular":
         return perp_distances(x, y, start, end)
     return sync_distances(t, x, y, start, end)
 
 
 def _chord_distances_py(
-    traj: Trajectory, start: int, end: int, criterion: str
+    columns: Columns, start: int, end: int, criterion: str
 ) -> list[float]:
     """Scalar mirror of :func:`_chord_distances`."""
-    t, x, y = traj.column_lists
+    t, x, y = columns
     if criterion == "perpendicular":
         return perp_distances_py(x, y, start, end)
     return sync_distances_py(t, x, y, start, end)
 
 
 def chord_max(
-    traj: Trajectory, start: int, end: int, criterion: str = "synchronized"
+    columns: Columns,
+    start: int,
+    end: int,
+    criterion: str = "synchronized",
+    arrays: Arrays | None = None,
 ) -> tuple[float, int]:
     """Max criterion distance over the interior of the chord ``start``–``end``.
 
-    The top-down split test and the bottom-up merge cost. Returns
-    ``(max_distance, index)``, the index (into ``traj``) of the first
-    interior point attaining it. Needs ``end - start >= 2``.
+    The top-down split test and the bottom-up merge cost. ``columns``
+    are the ``(t, x, y)`` lists; ``arrays``, when the caller has them,
+    the same columns as numpy arrays. Returns ``(max_distance, index)``,
+    the index (into the columns) of the first interior point attaining
+    it. Needs ``end - start >= 2``.
     """
     if end - start - 1 < _NUMPY_MIN_SWEEP:
-        values = _chord_distances_py(traj, start, end, criterion)
+        values = _chord_distances_py(columns, start, end, criterion)
         error, offset = max_with_offset_py(values)
     else:
-        error, offset = max_with_offset(_chord_distances(traj, start, end, criterion))
+        error, offset = max_with_offset(
+            _chord_distances(columns, arrays, start, end, criterion)
+        )
     return error, start + 1 + offset
 
 
 def chord_first_above(
-    traj: Trajectory,
+    columns: Columns,
     start: int,
     end: int,
     threshold: float,
     criterion: str = "synchronized",
+    arrays: Arrays | None = None,
 ) -> int:
     """First interior point of the chord ``start``–``end`` whose criterion
-    distance exceeds ``threshold`` (its index into ``traj``), or ``-1``.
+    distance exceeds ``threshold`` (its index into the columns), or ``-1``.
 
-    The opening-window scan.
+    The opening-window scan. Columns as for :func:`chord_max`.
     """
     if end - start - 1 < _NUMPY_MIN_SWEEP:
-        values = _chord_distances_py(traj, start, end, criterion)
+        values = _chord_distances_py(columns, start, end, criterion)
         offset = first_above_py(values, threshold)
     else:
-        offset = first_above(_chord_distances(traj, start, end, criterion), threshold)
+        offset = first_above(
+            _chord_distances(columns, arrays, start, end, criterion), threshold
+        )
     return -1 if offset < 0 else start + 1 + offset
 
 
 def chord_indices_above(
-    traj: Trajectory,
+    columns: Columns,
     start: int,
     end: int,
     threshold: float,
     criterion: str = "synchronized",
+    arrays: Arrays | None = None,
 ) -> list[int]:
     """Every interior point of the chord ``start``–``end`` whose criterion
-    distance exceeds ``threshold``, as ascending indices into ``traj``."""
+    distance exceeds ``threshold``, as ascending indices into the columns.
+
+    Columns as for :func:`chord_max`.
+    """
     if end - start - 1 < _NUMPY_MIN_SWEEP:
-        values = _chord_distances_py(traj, start, end, criterion)
+        values = _chord_distances_py(columns, start, end, criterion)
         offsets = [i for i, value in enumerate(values) if value > threshold]
     else:
-        values_arr = _chord_distances(traj, start, end, criterion)
+        values_arr = _chord_distances(columns, arrays, start, end, criterion)
         offsets = np.flatnonzero(values_arr > threshold).tolist()
     return [start + 1 + offset for offset in offsets]
+
+
+def speed_jumps_above(
+    columns: Columns,
+    start: int,
+    end: int,
+    threshold: float,
+    arrays: Arrays | None = None,
+) -> list[int]:
+    """Every point ``start < i < end`` whose speed jump
+    ``|v_i - v_{i-1}|`` exceeds ``threshold``, as ascending indices.
+
+    The SP speed test (paper Sect. 3.3) over one run of interior points:
+    ``v_i`` is the derived speed of segment ``(i, i+1)``, so the run
+    reads points ``start``..``end``. Columns as for :func:`chord_max`;
+    the scalar side computes each speed once, in
+    :func:`segment_speeds_py`'s terms.
+    """
+    if end - start - 1 < _NUMPY_MIN_SWEEP:
+        t, x, y = columns
+        dx = x[start + 1] - x[start]
+        dy = y[start + 1] - y[start]
+        v_prev = math.sqrt(dx * dx + dy * dy) / (t[start + 1] - t[start])
+        out = []
+        for i in range(start + 1, end):
+            dx = x[i + 1] - x[i]
+            dy = y[i + 1] - y[i]
+            v_next = math.sqrt(dx * dx + dy * dy) / (t[i + 1] - t[i])
+            if abs(v_next - v_prev) > threshold:
+                out.append(i)
+            v_prev = v_next
+        return out
+    (t_arr, x_arr, y_arr), first, last = _sweep_arrays(columns, arrays, start, end)
+    run = slice(first, last + 1)
+    jumps = speed_deltas(t_arr[run], x_arr[run], y_arr[run])
+    return (np.flatnonzero(jumps > threshold) + (start + 1)).tolist()
 
 
 def range_max(values: np.ndarray, start: int, end: int) -> tuple[float, int]:
@@ -612,26 +709,31 @@ def distance_integral(deltas: np.ndarray, weights: np.ndarray) -> float:
     return math.fsum((weights * alphas).tolist())
 
 
-def chord_integral(traj: Trajectory, start: int, end: int) -> float:
+def chord_integral(
+    columns: Columns, start: int, end: int, arrays: Arrays | None = None
+) -> float:
     """Error integral of the chord ``start``–``end`` over its original span.
 
     ``∫ dist(loc(p, t), chord(t)) dt`` over ``[t_start, t_end]``, in
     closed form per original sub-segment: the chord and the original are
-    both linear there, so the difference vector is too.
+    both linear there, so the difference vector is too. Columns as for
+    :func:`chord_max`.
     """
     if end - start < _NUMPY_MIN_SWEEP:
-        t, x, y = traj.column_lists
-        ts = t[start]
-        delta_e = t[end] - ts
-        xs, ys = x[start], y[start]
-        ex, ey = x[end] - xs, y[end] - ys
+        t_list, x_list, y_list = columns
+        ts = t_list[start]
+        delta_e = t_list[end] - ts
+        xs, ys = x_list[start], y_list[start]
+        ex, ey = x_list[end] - xs, y_list[end] - ys
         deltas = []
         for i in range(start, end + 1):
-            ratio = (t[i] - ts) / delta_e
-            deltas.append((x[i] - (xs + ratio * ex), y[i] - (ys + ratio * ey)))
-        weights = [t[i + 1] - t[i] for i in range(start, end)]
+            ratio = (t_list[i] - ts) / delta_e
+            deltas.append(
+                (x_list[i] - (xs + ratio * ex), y_list[i] - (ys + ratio * ey))
+            )
+        weights = [t_list[i + 1] - t_list[i] for i in range(start, end)]
         return _distance_integral_py(deltas, weights)
-    t, x, y = traj.columns
+    (t, x, y), start, end = _sweep_arrays(columns, arrays, start, end)
     ts = t[start]
     delta_e = t[end] - ts
     span = slice(start, end + 1)

@@ -12,26 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import kernels
 from repro.core.base import Compressor, require_positive
-from repro.core.opening_window import (
-    BreakStrategy,
-    WindowScanFn,
-    opening_window_indices,
-)
+from repro.core.opening_window import BreakStrategy, OpeningWindow
 from repro.trajectory.trajectory import Trajectory
 
-__all__ = ["synchronized_scan", "OPWTR"]
-
-
-def synchronized_scan(threshold: float) -> WindowScanFn:
-    """Window scan testing time-ratio distance to the anchor–float chord."""
-    threshold = require_positive("threshold", threshold)
-
-    def scan(traj: Trajectory, anchor: int, float_end: int) -> int:
-        return kernels.chord_first_above(traj, anchor, float_end, threshold)
-
-    return scan
+__all__ = ["OPWTR"]
 
 
 class OPWTR(Compressor):
@@ -64,6 +49,10 @@ class OPWTR(Compressor):
         return self.epsilon
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
-        return opening_window_indices(
-            traj, synchronized_scan(self.epsilon), self.strategy
-        )
+        return OpeningWindow(
+            traj.column_lists,
+            traj.columns,
+            criterion="synchronized",
+            epsilon=self.epsilon,
+            strategy=self.strategy,
+        ).indices()

@@ -62,7 +62,12 @@ class SlidingWindow(Compressor):
             if end - start >= 2:
                 keep[
                     kernels.chord_indices_above(
-                        traj, start, end, self.epsilon, self.criterion
+                        traj.column_lists,
+                        start,
+                        end,
+                        self.epsilon,
+                        self.criterion,
+                        traj.columns,
                     )
                 ] = True
             start = end

@@ -12,10 +12,11 @@ Three implementations:
 * :func:`spt_paper_indices` — a faithful port of the paper's ``SPT``
   pseudocode (including its restart-the-inner-scan-on-every-window-growth
   behaviour), kept as the executable specification;
-* :class:`OPWSP` — the same algorithm expressed through the generic
-  opening-window driver, computing each point's speed test once and each
-  window's distances in one kernel sweep; the test suite asserts it
-  selects *identical* indices to the faithful port;
+* :class:`OPWSP` — the same algorithm run by the opening-window core
+  (:class:`~repro.core.opening_window.OpeningWindow`), asking each
+  point's speed test once and each window's distances in one kernel
+  sweep; the test suite asserts it selects *identical* indices to the
+  faithful port;
 * :class:`TDSP` — the top-down application of the two criteria, which the
   paper evaluates as TD-SP in Fig. 10 but does not give pseudocode for.
   Our design: a span is split at its worst speed-violating interior point
@@ -25,7 +26,6 @@ Three implementations:
 
 from __future__ import annotations
 
-import bisect
 import math
 
 import numpy as np
@@ -33,13 +33,12 @@ import numpy as np
 from repro.core import kernels
 from repro.core.base import Compressor, require_positive
 from repro.core.douglas_peucker import top_down_indices
-from repro.core.opening_window import WindowScanFn, opening_window_indices
+from repro.core.opening_window import OpeningWindow
 from repro.trajectory.trajectory import Trajectory
 
 __all__ = [
     "speed_violations",
     "spt_paper_indices",
-    "spatiotemporal_scan",
     "OPWSP",
     "TDSP",
 ]
@@ -50,12 +49,17 @@ def speed_violations(traj: Trajectory, max_speed_error: float) -> np.ndarray:
 
     ``out[i]`` is True when ``|v_i - v_{i-1}| > max_speed_error`` with
     ``v_i`` the derived speed of segment ``(i, i+1)``. Endpoints are never
-    marked (they have only one adjacent segment).
+    marked (they have only one adjacent segment). The mask form of the
+    :func:`~repro.core.kernels.speed_jumps_above` question that OPW-SP
+    asks.
     """
     n = len(traj)
     out = np.zeros(n, dtype=bool)
     if n >= 3:
-        out[1:-1] = kernels.speed_deltas(*traj.columns) > max_speed_error
+        flagged = kernels.speed_jumps_above(
+            traj.column_lists, 0, n - 1, max_speed_error, traj.columns
+        )
+        out[flagged] = True
     return out
 
 
@@ -110,35 +114,6 @@ def spt_paper_indices(
     return np.asarray(keep, dtype=int)
 
 
-def spatiotemporal_scan(
-    max_dist_error: float, speed_violation_mask: np.ndarray
-) -> WindowScanFn:
-    """Window scan combining the SED and speed criteria.
-
-    The speed test depends only on the point, not the window, so callers
-    precompute its mask once per trajectory (:func:`speed_violations`) and
-    pass it in. A window's first violator is then the earlier of its
-    first distance violator and its first speed-flagged interior point.
-
-    Args:
-        max_dist_error: synchronized distance threshold in metres.
-        speed_violation_mask: boolean mask over the trajectory's points,
-            True where the speed-difference criterion fires.
-    """
-    max_dist_error = require_positive("max_dist_error", max_dist_error)
-    flagged = np.flatnonzero(speed_violation_mask).tolist()
-
-    def scan(traj: Trajectory, anchor: int, float_end: int) -> int:
-        violating = kernels.chord_first_above(traj, anchor, float_end, max_dist_error)
-        k = bisect.bisect_right(flagged, anchor)
-        if k < len(flagged) and flagged[k] < float_end:
-            if violating < 0 or flagged[k] < violating:
-                return flagged[k]
-        return violating
-
-    return scan
-
-
 class OPWSP(Compressor):
     """Opening-window spatiotemporal compressor (the paper's OPW-SP).
 
@@ -165,9 +140,13 @@ class OPWSP(Compressor):
         return self.max_dist_error
 
     def select_indices(self, traj: Trajectory) -> np.ndarray:
-        mask = speed_violations(traj, self.max_speed_error)
-        scan = spatiotemporal_scan(self.max_dist_error, mask)
-        return opening_window_indices(traj, scan, "violating")
+        return OpeningWindow(
+            traj.column_lists,
+            traj.columns,
+            criterion="synchronized",
+            epsilon=self.max_dist_error,
+            max_speed_error=self.max_speed_error,
+        ).indices()
 
 
 class TDSP(Compressor):
@@ -206,6 +185,8 @@ class TDSP(Compressor):
                 # Force a split at the worst speed violator by reporting
                 # an error above any finite threshold.
                 return float("inf"), cut
-            return kernels.chord_max(traj, start, end)
+            return kernels.chord_max(
+                tr.column_lists, start, end, "synchronized", tr.columns
+            )
 
         return top_down_indices(traj, self.max_dist_error, segment_error)

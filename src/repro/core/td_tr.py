@@ -32,7 +32,9 @@ def synchronized_segment_error(
     Returns ``(max_error, argmax_index)`` over interior points of the
     chord ``start``–``end``.
     """
-    return kernels.chord_max(traj, start, end, "synchronized")
+    return kernels.chord_max(
+        traj.column_lists, start, end, "synchronized", traj.columns
+    )
 
 
 class TDTR(Compressor):

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core import kernels
 from repro.error.synchronized import _check_same_interval
-from repro.geometry.distance import point_segment_distances
 from repro.exceptions import TrajectoryError
 from repro.trajectory.trajectory import Trajectory
 
@@ -109,14 +108,13 @@ def area_error_sampled(
     _check_same_interval(original, approx)
     times = np.linspace(original.start_time, original.end_time, n_samples)
     p_pos = original.positions_at(times)
-    idx = np.clip(
+    seg = np.clip(
         np.searchsorted(approx.t, times, side="right") - 1, 0, len(approx) - 2
     )
-    dist = np.empty(n_samples)
-    for seg in np.unique(idx):
-        mask = idx == seg
-        dist[mask] = point_segment_distances(
-            p_pos[mask], approx.xy[seg], approx.xy[seg + 1]
-        )
+    _, ax, ay = approx.columns
+    # One sweep over every sample, each against its own chord.
+    dist = kernels.chord_point_distances(
+        p_pos[:, 0], p_pos[:, 1], ax[seg], ay[seg], ax[seg + 1], ay[seg + 1]
+    )
     duration = original.end_time - original.start_time
     return float(np.trapezoid(dist, times) / duration)

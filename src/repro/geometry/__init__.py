@@ -1,42 +1,22 @@
-"""Planar geometry substrate: distances, interpolation, boxes, projection.
+"""Planar geometry substrate: boxes, clipping, projection, interpolation.
 
-These are the primitives every compression algorithm and error notion is
-built from. All functions accept plain numpy arrays (positions as
-``(n, 2)`` float arrays) so the higher layers can stay allocation-light.
+Bounding boxes and Liang–Barsky clipping serve the store and query
+layers, :class:`LocalProjection` and :func:`haversine` the GPS ingest
+path, and :func:`time_ratio_position` (paper Eqs. 1–2 at one instant)
+:meth:`~repro.trajectory.Trajectory.position_at`. The point-to-chord
+distances and derived speeds that the compression algorithms and error
+notions test live in :mod:`repro.core.kernels`.
 """
 
 from repro.geometry.bbox import BBox
-from repro.geometry.distance import (
-    EARTH_RADIUS_M,
-    euclidean,
-    euclidean_many,
-    haversine,
-    perpendicular_distance,
-    perpendicular_distances,
-    point_segment_distance,
-    point_segment_distances,
-)
-from repro.geometry.interpolation import (
-    segment_speeds,
-    synchronized_distances,
-    time_ratio_position,
-    time_ratio_positions,
-)
+from repro.geometry.distance import EARTH_RADIUS_M, haversine
+from repro.geometry.interpolation import time_ratio_position
 from repro.geometry.projection import LocalProjection
 
 __all__ = [
     "BBox",
     "EARTH_RADIUS_M",
     "LocalProjection",
-    "euclidean",
-    "euclidean_many",
     "haversine",
-    "perpendicular_distance",
-    "perpendicular_distances",
-    "point_segment_distance",
-    "point_segment_distances",
-    "segment_speeds",
-    "synchronized_distances",
     "time_ratio_position",
-    "time_ratio_positions",
 ]

@@ -9,23 +9,17 @@ approximating segment ``P_s``–``P_e``::
     x'_i = x_s + Δi/Δe (x_e - x_s)        (paper Eq. 1)
     y'_i = y_s + Δi/Δe (y_e - y_s)        (paper Eq. 2)
 
-This module implements Eqs. 1–2 (scalar and vectorized) plus the derived
-synchronized distances that TD-TR / OPW-TR / OPW-SP use as their discard
-criterion.
+This module implements Eqs. 1–2 for one query time, the form
+:meth:`~repro.trajectory.Trajectory.position_at` needs. The synchronized
+distances and derived speeds that TD-TR / OPW-TR / OPW-SP test are
+sweeps of :mod:`repro.core.kernels`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.distance import euclidean_many
-
-__all__ = [
-    "time_ratio_position",
-    "time_ratio_positions",
-    "synchronized_distances",
-    "segment_speeds",
-]
+__all__ = ["time_ratio_position"]
 
 
 def time_ratio_position(
@@ -56,77 +50,3 @@ def time_ratio_position(
         return ps.copy()
     ratio = (ti - ts) / delta_e
     return ps + ratio * (pe - ps)
-
-
-def time_ratio_positions(
-    ts: float,
-    ps: np.ndarray,
-    te: float,
-    pe: np.ndarray,
-    times: np.ndarray,
-) -> np.ndarray:
-    """Vectorized :func:`time_ratio_position` for many query times.
-
-    Returns:
-        Array of shape ``(len(times), 2)`` of synchronized positions.
-    """
-    ps = np.asarray(ps, dtype=float)
-    pe = np.asarray(pe, dtype=float)
-    times = np.asarray(times, dtype=float)
-    delta_e = te - ts
-    if delta_e == 0.0:
-        return np.broadcast_to(ps, (times.shape[0], 2)).copy()
-    ratios = (times - ts) / delta_e
-    return ps + ratios[:, None] * (pe - ps)
-
-
-def synchronized_distances(
-    t: np.ndarray,
-    xy: np.ndarray,
-    start: int,
-    end: int,
-) -> np.ndarray:
-    """Synchronized (time-ratio) distances of interior points to a chord.
-
-    For the candidate chord between data points ``start`` and ``end`` of a
-    time series (``t`` strictly increasing, ``xy`` the matching positions),
-    computes ``dist(P_i, P'_i)`` for every interior index
-    ``start < i < end`` — the quantity the spatiotemporal algorithms test
-    against ``max_dist_error``.
-
-    Args:
-        t: timestamps, shape ``(n,)``.
-        xy: positions, shape ``(n, 2)``.
-        start: chord start index.
-        end: chord end index (``end > start``).
-
-    Returns:
-        Array of shape ``(end - start - 1,)``; empty when the chord spans
-        adjacent points.
-    """
-    if end <= start:
-        raise ValueError(f"chord end {end} must exceed start {start}")
-    interior_t = t[start + 1 : end]
-    interior_xy = xy[start + 1 : end]
-    approx = time_ratio_positions(
-        float(t[start]), xy[start], float(t[end]), xy[end], interior_t
-    )
-    return euclidean_many(interior_xy, approx)
-
-
-def segment_speeds(t: np.ndarray, xy: np.ndarray) -> np.ndarray:
-    """Derived speed of every segment of a time series.
-
-    ``v[i] = dist(xy[i+1], xy[i]) / (t[i+1] - t[i])`` — the derived (not
-    measured) speeds the SPT algorithm compares against the speed
-    threshold (paper Sect. 3.3).
-
-    Returns:
-        Array of shape ``(n - 1,)``.
-    """
-    t = np.asarray(t, dtype=float)
-    xy = np.asarray(xy, dtype=float)
-    dt = np.diff(t)
-    step = np.diff(xy, axis=0)
-    dist = np.hypot(step[:, 0], step[:, 1])
-    return dist / dt

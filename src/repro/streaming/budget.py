@@ -38,8 +38,9 @@ the rebuild never changes which entry pops next.
   (not accumulated) when a neighbour disappears.
 * :class:`StreamingDeadReckoning` is the push form of
   :func:`repro.core.dead_reckoning.dead_reckoning_indices` — a
-  predictor-based threshold compressor (no evictions) that emits exactly
-  the points the batch function selects, bit for bit.
+  predictor-based threshold compressor (no evictions) that decides
+  through the same :class:`~repro.core.dead_reckoning.DeadReckoner`, so
+  it emits exactly the points the batch function selects.
 
 Budget compressors additionally support live *renegotiation*:
 :meth:`~StreamingSQUISH.renegotiate` shrinks the budget mid-stream and
@@ -54,9 +55,10 @@ Spec strings: ``squish:budget=200``, ``sttrace:budget=200``,
 from __future__ import annotations
 
 import heapq
-import math
 
 from repro.core.base import require_positive
+from repro.core.dead_reckoning import DeadReckoner
+from repro.core.kernels import sync_distance_py as _sed
 from repro.exceptions import StreamError
 from repro.streaming.base import Eviction, PushEvent
 from repro.streaming.registry import register_online
@@ -76,15 +78,6 @@ MIN_BUDGET = 2
 #: than ``2 * buffer size + _HEAP_SLACK`` entries: amortised O(1) per
 #: push, and never more than a constant factor of the buffer.
 _HEAP_SLACK = 16
-
-
-def _sed(pred: Fix, point: Fix, succ: Fix) -> float:
-    """Synchronized Euclidean distance of ``point`` wrt chord pred→succ,
-    in :func:`~repro.core.kernels.sync_distances_py`'s term order."""
-    ratio = (point.t - pred.t) / (succ.t - pred.t)
-    dx = point.x - (pred.x + ratio * (succ.x - pred.x))
-    dy = point.y - (pred.y + ratio * (succ.y - pred.y))
-    return math.sqrt(dx * dx + dy * dy)
 
 
 class _Node:
@@ -400,14 +393,13 @@ class StreamingSTTrace(_BudgetStreaming):
 class StreamingDeadReckoning:
     """Push form of the dead-reckoning update policy.
 
-    Emits exactly the points
-    :func:`repro.core.dead_reckoning.dead_reckoning_indices` selects —
-    same float expressions, same anchor/velocity recurrence — so batch
-    replay of a recorded stream is bit-identical. The one structural
-    difference from the batch loop is causality: the batch form knows
-    which point is last (always kept, never threshold-tested), so the
-    streaming form holds the newest fix undecided until the next push
-    proves it interior, and :meth:`finish` emits it as the tail.
+    Decides through :class:`~repro.core.dead_reckoning.DeadReckoner`,
+    as :func:`repro.core.dead_reckoning.dead_reckoning_indices` does, so
+    batch replay of a recorded stream selects the same points. The one
+    structural difference from the batch loop is causality: the batch
+    form knows which point is last (always kept, never threshold-tested),
+    so the streaming form holds the newest fix undecided until the next
+    push proves it interior, and :meth:`finish` emits it as the tail.
 
     A threshold compressor: never evicts, no point budget.
 
@@ -421,9 +413,7 @@ class StreamingDeadReckoning:
 
     def __init__(self, epsilon: float) -> None:
         self.epsilon = require_positive("epsilon", epsilon)
-        self._anchor: Fix | None = None
-        self._vx = 0.0
-        self._vy = 0.0
+        self._reckoner: DeadReckoner | None = None
         self._held: Fix | None = None
         self._prev: Fix | None = None  # fix pushed immediately before _held
         self._finished = False
@@ -439,7 +429,9 @@ class StreamingDeadReckoning:
     def state_size(self) -> int:
         """Anchor + velocity + held candidate + its predecessor."""
         size = 2  # velocity
-        for fix in (self._anchor, self._held, self._prev):
+        if self._reckoner is not None:
+            size += 3
+        for fix in (self._held, self._prev):
             if fix is not None:
                 size += 3
         return size
@@ -452,37 +444,27 @@ class StreamingDeadReckoning:
         self.n_emitted += 1
         return fix
 
-    def _deviates(self, fix: Fix) -> bool:
-        # Same expressions as dead_reckoning_indices, bit for bit.
-        anchor = self._anchor
-        assert anchor is not None
-        elapsed = fix.t - anchor.t
-        dx = fix.x - (anchor.x + self._vx * elapsed)
-        dy = fix.y - (anchor.y + self._vy * elapsed)
-        return math.sqrt(dx * dx + dy * dy) > self.epsilon
-
     def push(self, fix: Fix) -> list[Fix]:
         """Feed one fix; returns the fixes decided as retained by it."""
         fix = Fix(float(fix[0]), float(fix[1]), float(fix[2]))
         if self._finished:
             raise StreamError("push after finish()")
-        previous = self._held if self._held is not None else self._anchor
+        previous = self._held if self._held is not None else self._prev
         if previous is not None and fix.t <= previous.t:
             raise StreamError(f"time went backwards ({previous.t} -> {fix.t})")
         self.n_pushed += 1
-        if self._anchor is None:
-            self._anchor = fix
+        reckoner = self._reckoner
+        if reckoner is None:
+            self._reckoner = DeadReckoner(self.epsilon, *fix)
             self._prev = fix
             return [self._emit(fix)]
         out: list[Fix] = []
         held, prev = self._held, self._prev
-        if held is not None and prev is not None and self._deviates(held):
-            out.append(self._emit(held))
-            self._anchor = held
-            dt = held.t - prev.t
-            self._vx = (held.x - prev.x) / dt
-            self._vy = (held.y - prev.y) / dt
-        self._prev = self._held if self._held is not None else self._prev
+        if held is not None and prev is not None:
+            if reckoner.deviates(*held):
+                out.append(self._emit(held))
+                reckoner.reanchor(*prev, *held)
+            self._prev = held
         self._held = fix
         return out
 
@@ -494,7 +476,7 @@ class StreamingDeadReckoning:
         out: list[Fix] = []
         if self._held is not None:
             out.append(self._emit(self._held))
-        self._anchor = None
+        self._reckoner = None
         self._held = None
         self._prev = None
         return out

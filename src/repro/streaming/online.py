@@ -7,7 +7,10 @@ incremental form: a :class:`StreamingOPW` accepts one fix at a time and
 emits retained fixes as soon as they are decided, holding only the open
 window in memory.
 
-The selected points are **identical** to the corresponding batch
+It is a push driver of the batch family's own decision core,
+:class:`~repro.core.opening_window.OpeningWindow`: each push appends the
+fix to the window's columns and advances the core over them, so the
+selected points are **identical** to the corresponding batch
 algorithm's (NOPW / OPW-TR / OPW-SP with the ``"violating"`` break
 strategy); the test suite pins this equivalence. An optional
 ``max_window`` bound forces a break when the open window would exceed a
@@ -17,49 +20,12 @@ compression.
 
 from __future__ import annotations
 
-import math
-
-from repro.core.base import require_positive
-from repro.core.kernels import chord_line_distance_py
+from repro.core.opening_window import OpeningWindow
 from repro.exceptions import StreamError
 from repro.streaming.registry import register_online
 from repro.types import Fix
 
 __all__ = ["StreamingOPW"]
-
-_CRITERIA = ("perpendicular", "synchronized")
-
-
-def _perpendicular_distance(fix: Fix, anchor: Fix, float_end: Fix) -> float:
-    """Distance from ``fix`` to the infinite line anchor–float."""
-    return chord_line_distance_py(
-        fix.x, fix.y, anchor.x, anchor.y, float_end.x, float_end.y
-    )
-
-
-def _synchronized_distance(fix: Fix, anchor: Fix, float_end: Fix) -> float:
-    """Time-ratio distance from ``fix`` to the chord anchor–float.
-
-    The terms of :func:`~repro.core.kernels.sync_distances_py` in its
-    order, so a distance on epsilon decides as the batch OPW-TR does.
-    """
-    ratio = (fix.t - anchor.t) / (float_end.t - anchor.t)
-    dx = fix.x - (anchor.x + ratio * (float_end.x - anchor.x))
-    dy = fix.y - (anchor.y + ratio * (float_end.y - anchor.y))
-    return math.sqrt(dx * dx + dy * dy)
-
-
-def _segment_speed(start: Fix, end: Fix) -> float:
-    """Derived speed from ``start`` to ``end``.
-
-    The terms of :func:`~repro.core.kernels.segment_speeds_py` in its
-    order, so a speed jump on the threshold decides as the batch OPW-SP
-    does (``Fix.speed_to`` uses ``math.hypot``, which may differ in the
-    last bits).
-    """
-    dx = end.x - start.x
-    dy = end.y - start.y
-    return math.sqrt(dx * dx + dy * dy) / (end.t - start.t)
 
 
 class StreamingOPW:
@@ -92,25 +58,19 @@ class StreamingOPW:
         max_speed_error: float | None = None,
         max_window: int | None = None,
     ) -> None:
-        self.epsilon = require_positive("epsilon", epsilon)
-        if criterion not in _CRITERIA:
-            raise ValueError(f"unknown criterion {criterion!r}; use one of {_CRITERIA}")
+        #: The open window's ``(t, x, y)`` columns, anchor first.
+        self._columns: tuple[list[float], list[float], list[float]] = ([], [], [])
+        self._core = OpeningWindow(
+            self._columns,
+            criterion=criterion,
+            epsilon=epsilon,
+            max_speed_error=max_speed_error,
+            max_window=max_window,
+        )
+        self.epsilon = self._core.epsilon
         self.criterion = criterion
-        self._distance = (
-            _synchronized_distance
-            if criterion == "synchronized"
-            else _perpendicular_distance
-        )
-        self.max_speed_error = (
-            None
-            if max_speed_error is None
-            else require_positive("max_speed_error", max_speed_error)
-        )
-        if max_window is not None and max_window < 3:
-            raise ValueError(f"max_window must be >= 3, got {max_window}")
+        self.max_speed_error = self._core.max_speed_error
         self.max_window = max_window
-        self._window: list[Fix] = []
-        self._emitted_any = False
         self._finished = False
         self.n_pushed = 0
         self.n_emitted = 0
@@ -130,7 +90,7 @@ class StreamingOPW:
     @property
     def window_size(self) -> int:
         """Current number of buffered fixes (the open window)."""
-        return len(self._window)
+        return len(self._columns[0])
 
     @property
     def state_size(self) -> int:
@@ -139,7 +99,7 @@ class StreamingOPW:
         Grows with the open window — bounded only when ``max_window``
         is set, unlike the one-pass compressors' built-in O(1) state.
         """
-        return 3 * len(self._window)
+        return 3 * len(self._columns[0])
 
     def sync_error_bound(self) -> float | None:
         """Guaranteed bound on the output's max synchronized error.
@@ -152,40 +112,6 @@ class StreamingOPW:
         """
         return self.epsilon if self.criterion == "synchronized" else None
 
-    def _check_protocol(self, fix: Fix) -> None:
-        if self._finished:
-            raise StreamError("push after finish()")
-        if self._window and fix.t <= self._window[-1].t:
-            raise StreamError(
-                f"time went backwards ({self._window[-1].t} -> {fix.t})"
-            )
-
-    def _speed_violation(self, j: int) -> bool:
-        """Speed-difference criterion at window index ``j`` (interior)."""
-        if self.max_speed_error is None:
-            return False
-        window = self._window
-        v_prev = _segment_speed(window[j - 1], window[j])
-        v_next = _segment_speed(window[j], window[j + 1])
-        return abs(v_next - v_prev) > self.max_speed_error
-
-    def _first_violation(self) -> int:
-        """First violating interior window index, or -1."""
-        window = self._window
-        anchor = window[0]
-        float_end = window[-1]
-        for j in range(1, len(window) - 1):
-            if self._distance(window[j], anchor, float_end) > self.epsilon:
-                return j
-            if self._speed_violation(j):
-                return j
-        return -1
-
-    def _emit(self, fix: Fix) -> Fix:
-        self._emitted_any = True
-        self.n_emitted += 1
-        return fix
-
     def push(self, fix: Fix) -> list[Fix]:
         """Feed one fix; returns the fixes decided as retained by it.
 
@@ -193,37 +119,25 @@ class StreamingOPW:
         A violation emits the break point; a forced ``max_window`` break
         emits the float's predecessor.
         """
-        fix = Fix(float(fix[0]), float(fix[1]), float(fix[2]))
-        self._check_protocol(fix)
+        ft, fx, fy = float(fix[0]), float(fix[1]), float(fix[2])
+        if self._finished:
+            raise StreamError("push after finish()")
+        t, x, y = self._columns
+        if t and ft <= t[-1]:
+            raise StreamError(f"time went backwards ({t[-1]} -> {ft})")
         self.n_pushed += 1
-        out: list[Fix] = []
-        if not self._window and not self._emitted_any:
-            self._window.append(fix)
-            out.append(self._emit(fix))
-            return out
-        # A break restarts the window at the break point; the points that
-        # were already buffered after it must then be replayed one at a
-        # time so every prefix window is scanned — exactly the order the
-        # batch opening-window driver checks chords in. ``pending`` holds
-        # the fixes still to be absorbed.
-        pending: list[Fix] = [fix]
-        while pending:
-            self._window.append(pending.pop(0))
-            if len(self._window) < 3:
-                continue
-            violating = self._first_violation()
-            if violating < 0:
-                if (
-                    self.max_window is not None
-                    and len(self._window) >= self.max_window
-                ):
-                    violating = len(self._window) - 2  # forced BOPW-style cut
-                else:
-                    continue
-            out.append(self._emit(self._window[violating]))
-            rest = self._window[violating + 1 :]
-            self._window = [self._window[violating]]
-            pending[:0] = rest
+        t.append(ft)
+        x.append(fx)
+        y.append(fy)
+        if self.n_pushed == 1:
+            self.n_emitted += 1
+            return [Fix(ft, fx, fy)]
+        cuts = self._core.advance()
+        if not cuts:
+            return []
+        self.n_emitted += len(cuts)
+        out = [Fix(t[cut], x[cut], y[cut]) for cut in cuts]
+        self._core.drop_before_anchor()
         return out
 
     def finish(self) -> list[Fix]:
@@ -236,14 +150,13 @@ class StreamingOPW:
         if self._finished:
             return []
         self._finished = True
-        if not self._window:
-            return []
+        t, x, y = self._columns
         out: list[Fix] = []
-        if not self._emitted_any:
-            out.append(self._emit(self._window[0]))
-        if len(self._window) > 1:
-            out.append(self._emit(self._window[-1]))
-        self._window = []
+        if len(t) > 1:
+            self.n_emitted += 1
+            out.append(Fix(t[-1], x[-1], y[-1]))
+        for column in self._columns:
+            column.clear()
         return out
 
 

@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from repro.geometry.interpolation import segment_speeds
+from repro.core.kernels import segment_speeds
 from repro.trajectory.trajectory import Trajectory
 
 __all__ = [
@@ -57,7 +57,7 @@ def speeds(traj: Trajectory) -> np.ndarray:
     """Derived per-segment speeds in m/s, shape ``(n - 1,)``."""
     if len(traj) < 2:
         return np.empty(0)
-    return segment_speeds(traj.t, traj.xy)
+    return segment_speeds(*traj.columns)
 
 
 def headings(traj: Trajectory) -> np.ndarray:

@@ -8,7 +8,6 @@ time-stamped position (:class:`Fix`) and a couple of type aliases.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 __all__ = ["Fix", "Seconds", "Meters", "MetersPerSecond"]
@@ -35,20 +34,3 @@ class Fix(NamedTuple):
     t: Seconds
     x: Meters
     y: Meters
-
-    def distance_to(self, other: "Fix") -> Meters:
-        """Euclidean distance between the positions of two fixes."""
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def speed_to(self, other: "Fix") -> MetersPerSecond:
-        """Derived speed travelling from this fix to ``other``.
-
-        Mirrors the paper's derived (not measured) speed
-        ``dist(s[i+1], s[i]) / (s[i+1].t - s[i].t)`` used by the SPT
-        algorithm (Sect. 3.3).
-
-        Raises:
-            ZeroDivisionError: if both fixes carry the same timestamp.
-        """
-        dt = other.t - self.t
-        return self.distance_to(other) / dt

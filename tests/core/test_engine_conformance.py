@@ -27,11 +27,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import kernels
+from repro.core import OpeningWindow, kernels
 from repro.core.registry import COMPRESSORS, make_compressor
 from repro.datagen import URBAN, TrajectoryGenerator
 from repro.error.metrics import evaluate_compression
+from repro.streaming import make_online_compressor
 from repro.trajectory import Trajectory
+from repro.types import Fix
 
 #: Cutoff values that force one side of :mod:`repro.core.kernels` for
 #: every sweep.
@@ -138,11 +140,23 @@ def test_mirrors_bit_identical_to_kernels(traj: Trajectory):
         assert kernels.sync_distances(t, x, y, start, end).tolist() == (
             kernels.sync_distances_py(tl, xl, yl, start, end)
         )
+        ends = ((tl[start], xl[start], yl[start]), (tl[end], xl[end], yl[end]))
+        assert kernels.sync_distances(t, x, y, start, end).tolist() == [
+            kernels.sync_distance_py(ends[0], (tl[i], xl[i], yl[i]), ends[1])
+            for i in range(start + 1, end)
+        ]
         assert kernels.perp_distances(x, y, start, end).tolist() == (
             kernels.perp_distances_py(xl, yl, start, end)
         )
     assert kernels.segment_speeds(t, x, y).tolist() == kernels.segment_speeds_py(tl, xl, yl)
     assert kernels.speed_deltas(t, x, y).tolist() == kernels.speed_deltas_py(tl, xl, yl)
+    # The speed question's two sides, over the whole run and a part.
+    for start, end in ((0, n - 1), (n // 3, n - 1)):
+        if end - start < 2:
+            continue
+        threshold = float(np.median(kernels.speed_deltas(t, x, y)))
+        question = (kernels.speed_jumps_above, (tl, xl, yl), start, end, threshold)
+        assert on_side("scalar", *question) == on_side("numpy", *question)
     deltas = np.column_stack((x - x[0], y[::-1] - y[0]))
     assert kernels.segment_mean_distances(deltas[:-1], deltas[1:]).tolist() == [
         kernels.segment_mean_distance_py(v0, v1)
@@ -256,3 +270,61 @@ def test_shipped_report_equals_both_sides(straddling_trip):
     shipped = evaluate_compression(approx)
     for side in SIDES:
         assert_reports_identical(shipped, on_side(side, evaluate_compression, approx))
+
+
+def streamed(spec: str, traj: Trajectory) -> list[float]:
+    """Times of the fixes the push compressor ``spec`` emits over ``traj``."""
+    compressor = make_online_compressor(spec)
+    emitted: list[Fix] = []
+    for fix in zip(*traj.column_lists):
+        emitted.extend(compressor.push(Fix(*fix)))
+    emitted.extend(compressor.finish())
+    return [fix.t for fix in emitted]
+
+
+def window_with_cap(traj: Trajectory) -> np.ndarray:
+    """Batch form of streaming OPW-TR capped at 100 points per window."""
+    return OpeningWindow(
+        traj.column_lists,
+        traj.columns,
+        criterion="synchronized",
+        epsilon=25.0,
+        max_window=100,
+    ).indices()
+
+
+#: Each streaming opening-window spec and its batch twin.
+STREAMING_TWINS = {
+    "nopw:epsilon=25": make_compressor("nopw", **ALGORITHM_PARAMS["nopw"]).select_indices,
+    "opw-tr:epsilon=25": make_compressor("opw-tr", **ALGORITHM_PARAMS["opw-tr"]).select_indices,
+    "opw-sp:epsilon=25,speed=4": make_compressor(
+        "opw-sp", **ALGORITHM_PARAMS["opw-sp"]
+    ).select_indices,
+    "opw-tr:epsilon=25,max_window=100": window_with_cap,
+}
+
+
+def test_straddling_trip_streams_on_both_sides(straddling_trip):
+    """Guard for the case below: streaming windows run both sides too."""
+    for spec, kernel in (
+        ("opw-tr:epsilon=25", "sync_distances"),
+        ("nopw:epsilon=25", "perp_distances"),
+    ):
+        with mock.patch.object(
+            kernels, kernel, wraps=getattr(kernels, kernel)
+        ) as vectorized, mock.patch.object(
+            kernels, f"{kernel}_py", wraps=getattr(kernels, f"{kernel}_py")
+        ) as scalar:
+            streamed(spec, straddling_trip)
+        assert vectorized.call_count > 0 and scalar.call_count > 0, spec
+
+
+@pytest.mark.parametrize("spec", sorted(STREAMING_TWINS))
+@pytest.mark.parametrize("side", ["shipped", *SIDES])
+def test_streaming_equals_batch_on_each_side(spec: str, side: str, straddling_trip):
+    batch_times = straddling_trip.t[STREAMING_TWINS[spec](straddling_trip)]
+    if side == "shipped":
+        times = streamed(spec, straddling_trip)
+    else:
+        times = on_side(side, streamed, spec, straddling_trip)
+    np.testing.assert_array_equal(times, batch_times, err_msg=f"{spec} on {side}")

@@ -5,9 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import BOPW, NOPW, opening_window_indices, perpendicular_scan
+from repro.core import BOPW, NOPW, OpeningWindow
 from repro.error import max_perpendicular_error, mean_synchronized_error
 from repro.trajectory import Trajectory
+
+
+def opening_window(
+    traj: Trajectory, strategy: str = "violating", epsilon: float = 30.0
+) -> np.ndarray:
+    """The core's batch form with the spatial criterion."""
+    return OpeningWindow(
+        traj.column_lists,
+        traj.columns,
+        criterion="perpendicular",
+        epsilon=epsilon,
+        strategy=strategy,
+    ).indices()
 
 
 @pytest.fixture
@@ -20,18 +33,16 @@ def two_spikes() -> Trajectory:
 
 class TestDriver:
     def test_always_keeps_endpoints(self, two_spikes):
-        idx = opening_window_indices(two_spikes, perpendicular_scan(30.0))
+        idx = opening_window(two_spikes)
         assert idx[0] == 0
         assert idx[-1] == len(two_spikes) - 1
 
     def test_rejects_unknown_strategy(self, two_spikes):
         with pytest.raises(ValueError, match="strategy"):
-            opening_window_indices(two_spikes, perpendicular_scan(30.0), "middle")
+            opening_window(two_spikes, "middle")
 
     def test_nopw_breaks_at_violating_point(self, two_spikes):
-        idx = opening_window_indices(
-            two_spikes, perpendicular_scan(30.0), "violating"
-        )
+        idx = opening_window(two_spikes, "violating")
         assert 3 in idx and 7 in idx
 
     def test_bopw_breaks_before_float(self):
@@ -43,17 +54,15 @@ class TestDriver:
         y = np.zeros(12)
         y[3] = 60.0
         traj = Trajectory(t, np.column_stack([t * 10.0, y]))
-        nopw_idx = opening_window_indices(traj, perpendicular_scan(30.0), "violating")
-        bopw_idx = opening_window_indices(
-            traj, perpendicular_scan(30.0), "before-float"
-        )
+        nopw_idx = opening_window(traj, "violating")
+        bopw_idx = opening_window(traj, "before-float")
         assert 3 in nopw_idx
         # BOPW cuts at float-1: the violation first fires when the float
         # is 4 (first window containing the spike as interior), so cut=3.
         assert 3 in bopw_idx
 
     def test_straight_line_single_segment(self, straight_line):
-        idx = opening_window_indices(straight_line, perpendicular_scan(5.0))
+        idx = opening_window(straight_line, epsilon=5.0)
         np.testing.assert_array_equal(idx, [0, len(straight_line) - 1])
 
 

@@ -5,26 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.geometry import (
-    BBox,
-    time_ratio_positions,
-)
+from repro.geometry import BBox
 from repro.geometry.clip import clip_segment_to_bbox
-
-
-class TestTimeRatioPositionsEdges:
-    def test_zero_duration_chord_vectorized(self):
-        """A zero-extent chord broadcasts the start position."""
-        out = time_ratio_positions(
-            5.0, np.array([1.0, 2.0]), 5.0, np.array([9.0, 9.0]), np.array([5.0, 5.0])
-        )
-        np.testing.assert_allclose(out, [[1.0, 2.0], [1.0, 2.0]])
-
-    def test_empty_times(self):
-        out = time_ratio_positions(
-            0.0, np.array([0.0, 0.0]), 1.0, np.array([1.0, 1.0]), np.array([])
-        )
-        assert out.shape == (0, 2)
 
 
 class TestClipDegenerateAxes:

@@ -1,18 +1,19 @@
-"""Tests for repro.geometry.interpolation (paper Eqs. 1-2)."""
+"""Tests for paper Eqs. 1-2: the scalar synchronized position of
+repro.geometry.interpolation and the synchronized distances and derived
+speeds that repro.core.kernels sweeps."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import (
-    segment_speeds,
-    synchronized_distances,
-    time_ratio_position,
-    time_ratio_positions,
-)
+from repro.core.kernels import segment_speeds, sync_distances
+from repro.geometry import time_ratio_position
+
+
+def synchronized_distances(t, xy, start, end):
+    return sync_distances(t, xy[:, 0], xy[:, 1], start, end)
 
 
 class TestTimeRatioPosition:
@@ -43,11 +44,15 @@ class TestTimeRatioPosition:
 
     @given(st.floats(0.0, 1.0))
     def test_vectorized_matches_scalar(self, frac):
+        """The kernels' vectorized Eqs. 1-2 put a point at the scalar
+        synchronized position at zero synchronized distance."""
         ts, te = 3.0, 13.0
         ps, pe = np.array([-5.0, 2.0]), np.array([45.0, -18.0])
         ti = ts + frac * (te - ts)
-        batch = time_ratio_positions(ts, ps, te, pe, np.array([ti]))
-        np.testing.assert_allclose(batch[0], time_ratio_position(ts, ps, te, pe, ti))
+        pos = time_ratio_position(ts, ps, te, pe, ti)
+        xy = np.array([ps, pos, pe])
+        dist = synchronized_distances(np.array([ts, ti, te]), xy, 0, 2)
+        np.testing.assert_allclose(dist, [0.0], atol=1e-9)
 
 
 class TestSynchronizedDistances:
@@ -80,25 +85,19 @@ class TestSynchronizedDistances:
         xy = np.zeros((2, 2))
         assert synchronized_distances(t, xy, 0, 1).size == 0
 
-    def test_rejects_reversed_chord(self):
-        t = np.array([0.0, 1.0, 2.0])
-        xy = np.zeros((3, 2))
-        with pytest.raises(ValueError, match="must exceed"):
-            synchronized_distances(t, xy, 2, 1)
-
 
 class TestSegmentSpeeds:
     def test_known_speeds(self):
         t = np.array([0.0, 10.0, 20.0])
         xy = np.array([[0.0, 0.0], [100.0, 0.0], [100.0, 50.0]])
-        np.testing.assert_allclose(segment_speeds(t, xy), [10.0, 5.0])
+        np.testing.assert_allclose(segment_speeds(t, *xy.T), [10.0, 5.0])
 
     def test_stationary_segment_zero_speed(self):
         t = np.array([0.0, 5.0])
         xy = np.array([[3.0, 3.0], [3.0, 3.0]])
-        np.testing.assert_allclose(segment_speeds(t, xy), [0.0])
+        np.testing.assert_allclose(segment_speeds(t, *xy.T), [0.0])
 
     def test_irregular_sampling(self):
         t = np.array([0.0, 1.0, 11.0])
         xy = np.array([[0.0, 0.0], [6.0, 8.0], [6.0, 8.0]])
-        np.testing.assert_allclose(segment_speeds(t, xy), [10.0, 0.0])
+        np.testing.assert_allclose(segment_speeds(t, *xy.T), [10.0, 0.0])

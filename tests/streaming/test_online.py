@@ -52,6 +52,13 @@ class TestBatchEquivalence:
 
     @settings(max_examples=25, deadline=None)
     @given(trajectories(min_points=2, max_points=30))
+    def test_property_equivalence_nopw(self, traj):
+        batch_times = traj.t[NOPW(epsilon=20.0).compress(traj).indices]
+        emitted = drain(StreamingOPW(20.0, "perpendicular"), traj)
+        np.testing.assert_array_equal([f.t for f in emitted], batch_times)
+
+    @settings(max_examples=25, deadline=None)
+    @given(trajectories(min_points=2, max_points=30))
     def test_property_equivalence_opw_sp(self, traj):
         batch_times = traj.t[OPWSP(max_dist_error=20.0, max_speed_error=5.0).compress(traj).indices]
         streaming = StreamingOPW(20.0, "synchronized", max_speed_error=5.0)
