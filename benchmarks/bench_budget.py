@@ -241,13 +241,22 @@ def bench(
 
 
 def test_bench_budget_quick(tmp_path):
-    """Suite-sized smoke: invariants hold, curves descend, reference close."""
+    """Suite-sized smoke: invariants hold and each curve descends.
+
+    The exact ratios against the greedy reference are pinned by
+    ``tests/streaming/test_budget_curves.py``; no bound on them holds in
+    general, because the reference is not an optimum.
+    """
     report = bench(
         3, 200, (10, 25), output=tmp_path / "BENCH_budget.json"
     )
     assert not report["failed"], report["failures"]
     for algorithm in ALGORITHMS:
-        assert report["results"]["sed_ratio_mean"][algorithm] >= 1.0
+        at_10, at_25 = (
+            point["online_mean_sed_m"]
+            for point in report["results"]["curves"][algorithm]
+        )
+        assert at_25 < at_10, (algorithm, at_10, at_25)
 
 
 def main() -> int:

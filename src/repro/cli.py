@@ -41,26 +41,20 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.core.registry import available_compressors, make_compressor
-from repro.error.metrics import evaluate_compression
 from repro.exceptions import ReproError
-from repro.pipeline.checkpoint import read_manifest
-from repro.pipeline.engine import BatchEngine, load_fleet
-from repro.pipeline.executor import execute
-from repro.trajectory.stats import aggregate_trajectory_stats
-from repro.trajectory import gpx as _gpx
-from repro.trajectory import io as _io
-from repro.trajectory.stats import dataset_stats, trajectory_stats
-from repro.trajectory.trajectory import Trajectory
+
+if TYPE_CHECKING:
+    from repro.trajectory.trajectory import Trajectory
 
 __all__ = ["main", "build_parser"]
 
-# ``repro.datagen`` (which pulls in networkx) and ``repro.experiments``
-# are imported by the commands that use them, so that serving processes
-# never pay for them. The parser's choices are spelled out here instead;
-# tests pin them to their sources.
+# Each command imports the modules it runs, so that a serve router or
+# worker never loads the pipeline, the error metrics, the file formats,
+# ``repro.datagen`` (which pulls in networkx) or ``repro.experiments``.
+# The parser's choices are spelled out here instead; tests pin them to
+# their sources.
 #: The generator's movement profiles (``repro.datagen.profiles``).
 _PROFILE_NAMES = ("highway", "rural", "urban")
 #: The paper's figures (``repro.experiments.figures.ALL_FIGURES``).
@@ -76,6 +70,9 @@ _EPSILON_ALGOS = {
 
 
 def _load_trajectory(path: Path) -> Trajectory:
+    from repro.trajectory import gpx as _gpx
+    from repro.trajectory import io as _io
+
     suffix = path.suffix.lower()
     if suffix == ".csv":
         return _io.read_csv(path, object_id=path.stem)
@@ -87,6 +84,8 @@ def _load_trajectory(path: Path) -> Trajectory:
 
 
 def _save_trajectory(traj: Trajectory, path: Path) -> None:
+    from repro.trajectory import io as _io
+
     suffix = path.suffix.lower()
     if suffix == ".csv":
         _io.write_csv(traj, path)
@@ -98,6 +97,7 @@ def _save_trajectory(traj: Trajectory, path: Path) -> None:
 
 def _stats_table(traj: Trajectory) -> str:
     from repro.experiments.reporting import render_table
+    from repro.trajectory.stats import trajectory_stats
 
     stats = trajectory_stats(traj)
     return render_table(
@@ -122,6 +122,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _build_spec(spec: str):
     """Build a compressor from a spec string, mapping errors to ReproError."""
+    from repro.core.registry import make_compressor
+
     try:
         return make_compressor(spec)
     except KeyError as exc:
@@ -131,6 +133,8 @@ def _build_spec(spec: str):
 
 
 def _make_cli_compressor(args: argparse.Namespace):
+    from repro.core.registry import available_compressors, make_compressor
+
     name = args.algorithm
     if ":" in name or "=" in name:
         return _build_spec(name)
@@ -172,6 +176,8 @@ def _make_cli_compressor(args: argparse.Namespace):
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
+    from repro.error.metrics import evaluate_compression
+
     traj = _load_trajectory(Path(args.input))
     compressor = _make_cli_compressor(args)
     result = compressor.compress(traj)
@@ -220,6 +226,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_dataset(args: argparse.Namespace) -> int:
     from repro.experiments.dataset import paper_dataset
+    from repro.trajectory import io as _io
+    from repro.trajectory.stats import dataset_stats
 
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -325,6 +333,7 @@ def _collect_input_files(entries: list[str]) -> list[Path]:
 def _cmd_flow(args: argparse.Namespace) -> int:
     from repro.analysis import occupancy_grid, od_matrix, speed_over_time
     from repro.experiments.reporting import render_table
+    from repro.pipeline.engine import load_fleet
 
     paths = _collect_input_files(args.inputs)
     if not paths:
@@ -382,6 +391,8 @@ def _cmd_flow(args: argparse.Namespace) -> int:
 def _cmd_table2(args: argparse.Namespace) -> int:
     from repro.experiments.dataset import PAPER_TABLE2, paper_dataset
     from repro.experiments.reporting import render_table
+    from repro.pipeline.executor import execute
+    from repro.trajectory.stats import aggregate_trajectory_stats, trajectory_stats
 
     dataset = paper_dataset(args.seed)
     # Per-trajectory statistics go through the pipeline executor (the
@@ -412,6 +423,9 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     from repro.experiments.reporting import render_table
+    from repro.pipeline.checkpoint import read_manifest
+    from repro.pipeline.engine import BatchEngine
+    from repro.trajectory import io as _io
 
     paths = _collect_input_files(args.inputs)
     if not paths:
@@ -496,14 +510,14 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    if args.workers > 1:
+        return _cmd_serve_sharded(args)
+
     import asyncio
     import contextlib
     import signal
 
     from repro.serve.server import TrajectoryServer
-
-    if args.workers > 1:
-        return _cmd_serve_sharded(args)
 
     server = TrajectoryServer(
         host=args.host,

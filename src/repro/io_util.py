@@ -99,7 +99,7 @@ def fsync_directory(directory: Path) -> None:
 
 def write_atomic(
     path: "str | Path",
-    data: "bytes | str",
+    data: "bytes | bytearray | str",
     *,
     encoding: str = "utf-8",
     durable: bool = True,
@@ -112,7 +112,7 @@ def write_atomic(
     Args:
         path: final destination; the temporary file is created next to
             it so the final :func:`os.replace` stays on one filesystem.
-        data: bytes, or a string encoded with ``encoding``.
+        data: bytes or a bytearray, or a string encoded with ``encoding``.
         encoding: text encoding for string data.
         durable: fsync the file (and its directory) before/after the
             rename. ``False`` keeps atomicity but skips the flushes —

@@ -47,7 +47,6 @@ from repro.serve.protocol import (
     error_response,
     ok_response,
 )
-from repro.storage.store import TrajectoryStore
 
 __all__ = ["ServeRouter", "merge_partition_stores"]
 
@@ -72,6 +71,10 @@ def merge_partition_stores(
     Returns:
         ``{"path", "n_objects", "partitions": {name: n}}``.
     """
+    # Imported at drain, not at module top, so that a serving router
+    # never loads the store, the codec or numpy.
+    from repro.storage.store import TrajectoryStore
+
     merged = TrajectoryStore()
     partitions: dict[str, int] = {}
     for handle in pool.handles:

@@ -686,7 +686,7 @@ class TrajectoryStore:
                 {key: self.summary(key) for key in self._records},
                 self.summary_config,
             )
-            write_atomic(path, bytes(out), durable=durable)
+            write_atomic(path, out, durable=durable)
         registry.counter("store_saves").inc()
         registry.counter("store_saved_bytes").inc(len(out))
 

@@ -14,12 +14,19 @@ per-shard backpressure responses.
 from __future__ import annotations
 
 import asyncio
+import contextlib
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.exceptions import ServeError
-from repro.serve.chaos import SPEC, make_fixes, pick_shard_sessions
+from repro.serve.chaos import SPEC, free_port, make_fixes, pick_shard_sessions
 from repro.serve.pool import WorkerPool
 from repro.serve.protocol import encode_message
 from repro.serve.router import ServeRouter, merge_partition_stores
@@ -156,6 +163,71 @@ class TestMergePartitionStores:
             pool, tmp_path / "merged.rsto", durable=False, replace=True
         )
         assert result["n_objects"] == 1
+
+
+def _mapped_numpy(pid: "int | str") -> bool:
+    """Whether numpy's compiled core is mapped into process ``pid``."""
+    return "_multiarray_umath" in Path(f"/proc/{pid}/maps").read_text()
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/maps").exists(), reason="needs /proc/<pid>/maps"
+)
+def test_live_router_never_maps_numpy(tmp_path):
+    """A ``repro serve --workers 2`` router serves a session, queries,
+    stats and a flush without numpy ever entering its address space,
+    and still merges the partitions at drain."""
+    assert _mapped_numpy("self")  # the probe sees numpy where it is loaded
+    port = free_port()
+    store_path = tmp_path / "fleet.rsto"
+    router = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", "--port", str(port),
+            "--workers", "2", "--store", str(store_path),
+            "--wal", str(tmp_path / "wal"),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        start_new_session=True,  # the workers join the router's group
+    )
+    assert router.stdout is not None
+    try:
+        for line in router.stdout:
+            if "serving on" in line:
+                break
+        else:
+            pytest.fail(f"router exited during startup (code {router.wait()})")
+        fixes = make_fixes(40, 9)
+
+        async def scenario():
+            async with connected(SimpleNamespace(host="127.0.0.1", port=port)) \
+                    as client:
+                await client.open("live", SPEC)
+                await client.append("live", fixes[:20])
+                await client.query_position("live", fixes[5].t)
+                await client.query_window(fixes[0].t, fixes[-1].t)
+                await client.query_nearest(fixes[5].x, fixes[5].y, fixes[5].t)
+                await client.append("live", fixes[20:])
+                stats = await client.stats()
+                await client.close_session("live")
+                await client.flush()
+                return stats
+
+        stats = run_async(scenario())
+        assert stats["role"] == "router" and stats["fixes_in"] == len(fixes)
+        assert not _mapped_numpy(router.pid)
+        router.send_signal(signal.SIGTERM)
+        output, _ = router.communicate(timeout=20.0)
+    finally:
+        # A router that dies without draining leaves its workers running.
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(router.pid, signal.SIGKILL)
+        router.wait(timeout=20.0)
+    assert router.returncode == 0
+    assert "drained: 2/2 worker(s) exited cleanly, merged 1 object(s)" in output
+    assert TrajectoryStore.load(store_path).object_ids() == ["live"]
 
 
 @pytest.mark.slow

@@ -2,9 +2,11 @@
 
 ``benchmarks/bench_budget.py --quick`` streams a seeded random-walk
 workload through ``squish`` and ``sttrace`` at three budgets and sets
-each result against the offline ``td-tr-budget`` oracle. Every number
-it reports is a pure function of that seed, so this test runs the same
-quick sweep in process and requires the committed baseline,
+each result against the offline ``td-tr-budget`` reference: a greedy
+top-down split, which the report's ``oracle`` keys name but which is
+not an optimum. Every number it reports is a pure function of that
+seed, so this test runs the same quick sweep in process and requires
+the committed baseline,
 ``benchmarks/baselines/BENCH_budget_ci.json``, exactly: its curves,
 mean SED ratios and dead-reckoning sweep. A change to eviction order
 or priorities cannot hide inside a tolerance.
