@@ -23,16 +23,6 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = [
-    "SummaryConfig",
-    "PartitionSummary",
-    "ObjectSummary",
-    "build_summary",
-    "QueryEngine",
-    "PositionAnswer",
-    "NearestAnswer",
-]
-
 _HOMES = {
     "SummaryConfig": "repro.query.summaries",
     "PartitionSummary": "repro.query.summaries",
@@ -42,6 +32,8 @@ _HOMES = {
     "PositionAnswer": "repro.query.engine",
     "NearestAnswer": "repro.query.engine",
 }
+
+__all__ = [*_HOMES]
 
 
 def __getattr__(name: str) -> Any:

@@ -8,8 +8,14 @@ from parameter plumbing.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.registry import available_compressors
 from repro.exceptions import CompressorSpecError, StreamError
 from repro.streaming import (
@@ -133,3 +139,31 @@ class TestRegisterOnline:
 
         with pytest.raises(ValueError, match="already registered"):
             register_online("operb", lambda **kw: None, {})
+
+    @pytest.mark.parametrize(
+        "module", ["repro", "repro.streaming", "repro.streaming.registry"]
+    )
+    def test_builtin_names_taken_in_a_fresh_interpreter(self, module):
+        """Whichever import hands out ``register_online``, the built-in
+        algorithms are registered by then: a fresh process cannot take
+        ``operb``, and its next lookup still builds the built-in."""
+        probe = (
+            f"from {module} import register_online\n"
+            "try:\n"
+            "    register_online('operb', lambda **kw: None, {})\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "from repro.streaming import make_online_compressor\n"
+            "print(type(make_online_compressor('operb:epsilon=5')).__name__)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True,
+            text=True, check=True,
+        ).stdout.splitlines()
+        assert out == [
+            "online algorithm 'operb' is already registered", "StreamingOPERB",
+        ]
