@@ -62,11 +62,9 @@ _FIGURE_IDS = ("fig07", "fig08", "fig09", "fig10", "fig11")
 #: ``repro.experiments.dataset.DATASET_SEED``.
 _DATASET_SEED = 2004
 
-#: Parameters each algorithm accepts: maps CLI options to ctor kwargs.
-_EPSILON_ALGOS = {
-    "ndp", "td-tr", "nopw", "bopw", "opw-tr", "operb", "cised",
-    "distance-threshold", "sliding-window", "bottom-up",
-}
+#: The ``compress``/``report`` parameter flags. Each one that is set
+#: passes as the spec key of its own name when the algorithm accepts it.
+_PARAM_FLAGS = ("epsilon", "speed", "step", "angle", "budget")
 
 
 def _load_trajectory(path: Path) -> Trajectory:
@@ -120,59 +118,23 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _build_spec(spec: str):
-    """Build a compressor from a spec string, mapping errors to ReproError."""
-    from repro.core.registry import make_compressor
-
-    try:
-        return make_compressor(spec)
-    except KeyError as exc:
-        raise ReproError(str(exc.args[0] if exc.args else exc)) from None
-    except TypeError as exc:
-        raise ReproError(f"bad compressor spec {spec!r}: {exc}") from None
-
-
 def _make_cli_compressor(args: argparse.Namespace):
-    from repro.core.registry import available_compressors, make_compressor
+    from repro.core.registry import make_compressor, resolve
 
     name = args.algorithm
     if ":" in name or "=" in name:
-        return _build_spec(name)
-    if name not in available_compressors():
-        raise ReproError(
-            f"unknown algorithm {name!r}; available: {available_compressors()}"
-        )
-    if name in _EPSILON_ALGOS:
-        if args.epsilon is None:
-            raise ReproError(f"{name} requires --epsilon")
-        return make_compressor(name, epsilon=args.epsilon)
-    if name in ("opw-sp", "td-sp"):
-        if args.epsilon is None or args.speed is None:
-            raise ReproError(f"{name} requires --epsilon and --speed")
-        return make_compressor(
-            name, max_dist_error=args.epsilon, max_speed_error=args.speed
-        )
-    if name == "every-ith":
-        if args.step is None:
-            raise ReproError("every-ith requires --step")
-        return make_compressor(name, step=args.step)
-    if name == "angular":
-        if args.angle is None:
-            raise ReproError("angular requires --angle (radians)")
-        return make_compressor(name, max_angle_rad=args.angle)
-    if name in ("td-tr-budget", "bottom-up-budget"):
-        if args.budget is None:
-            raise ReproError(f"{name} requires --budget")
-        return make_compressor(name, budget=args.budget)
-    if name == "bottom-up-total-error":
-        if args.epsilon is None:
-            raise ReproError(f"{name} requires --epsilon (the alpha budget)")
-        return make_compressor(name, max_mean_error=args.epsilon)
-    if name == "dead-reckoning":
-        if args.epsilon is None:
-            raise ReproError(f"{name} requires --epsilon")
-        return make_compressor(name, epsilon=args.epsilon)
-    raise ReproError(f"unknown algorithm {name!r}")  # pragma: no cover
+        return make_compressor(name)
+    form = resolve(name, "batch")
+    flags = {flag: getattr(args, flag) for flag in _PARAM_FLAGS if flag in form.keys}
+    missing = [
+        f"--{flag}" for flag, value in flags.items()
+        if value is None and form.keys[flag] in form.required
+    ]
+    if missing:
+        raise ReproError(f"{name} requires {' and '.join(missing)}")
+    return make_compressor(
+        name, **{flag: value for flag, value in flags.items() if value is not None}
+    )
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
@@ -422,6 +384,7 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
+    from repro.core.registry import make_compressor
     from repro.experiments.reporting import render_table
     from repro.pipeline.checkpoint import read_manifest
     from repro.pipeline.engine import BatchEngine
@@ -447,7 +410,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
         on_error = manifest.get("on_error", on_error)
         on_malformed = manifest.get("on_malformed", on_malformed)
         evaluate = manifest.get("evaluate", evaluate)
-    compressor = _build_spec(spec)  # validate the spec before any work
+    compressor = make_compressor(spec)  # validate the spec before any work
     engine = BatchEngine(
         spec,
         workers=args.workers,

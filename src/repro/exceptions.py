@@ -16,6 +16,7 @@ __all__ = [
     "CompressionError",
     "ThresholdError",
     "CompressorSpecError",
+    "CompressorParameterError",
     "UnknownCompressorError",
     "PipelineError",
     "CheckpointError",
@@ -56,6 +57,12 @@ class ThresholdError(CompressionError, ValueError):
 
 class CompressorSpecError(ReproError, ValueError):
     """A compressor spec string could not be parsed."""
+
+
+class CompressorParameterError(CompressorSpecError, TypeError):
+    """A spec names a parameter its algorithm does not take, or omits one
+    it requires; raised alike by the batch and the online form. Also a
+    :class:`TypeError`, which historical callers catch."""
 
 
 class UnknownCompressorError(CompressorSpecError, KeyError):

@@ -274,9 +274,22 @@ class WorkerPool:
     # ------------------------------------------------------------------ #
 
     async def start(self) -> "WorkerPool":
-        """Spawn every worker (concurrently) and start the monitors."""
+        """Spawn every worker (concurrently) and start the monitors.
+
+        Raises:
+            ServeError: a worker failed to start. Every worker this call
+                started has been killed and reaped by then, so a failed
+                start leaves no process behind.
+        """
         self._stopping = False
-        await asyncio.gather(*(self._spawn(handle) for handle in self.handles))
+        outcomes = await asyncio.gather(
+            *(self._spawn(handle) for handle in self.handles),
+            return_exceptions=True,
+        )
+        failures = [outcome for outcome in outcomes if outcome is not None]
+        if failures:
+            await self.stop()
+            raise failures[0]
         for handle in self.handles:
             self._monitors.append(asyncio.create_task(self._monitor(handle)))
         return self
@@ -347,9 +360,10 @@ class WorkerPool:
         while True:
             raw = await process.stdout.readline()
             if not raw:
+                code = await process.wait()
                 raise ServeError(
                     f"{handle.name} exited during startup "
-                    f"(code {process.returncode}); output: "
+                    f"(code {code}); output: "
                     f"{list(handle.recent_output)[-5:]}",
                     code="unavailable",
                 )

@@ -59,6 +59,7 @@ from repro.serve.protocol import (
 from repro.serve.session import Session, SessionManager
 from repro.serve.wal import WalWriter
 from repro.storage.store import TrajectoryStore, effective_query_box
+from repro.streaming.registry import make_online_compressor
 
 __all__ = ["TrajectoryServer"]
 
@@ -91,7 +92,8 @@ class TrajectoryServer:
         replace: allow flushes to overwrite already-stored ids.
         default_spec: compressor spec applied to ``open`` requests that
             carry none (the CLI's ``--algorithm`` flag); an open with an
-            explicit spec still wins.
+            explicit spec still wins. One that does not build raises
+            here, as :func:`~repro.streaming.make_online_compressor` does.
         wal_dir: when set, a :class:`~repro.serve.wal.WalWriter` over
             this directory makes every acknowledged request durable
             (group commit before the response is written), and
@@ -141,6 +143,11 @@ class TrajectoryServer:
             raise ValueError(
                 f"sweep_interval_s must be positive, got {sweep_interval_s}"
             )
+        if default_spec is not None:
+            # Refused before the store loads or the WAL opens: a server
+            # that bound with a bad default would fail every open that
+            # relies on it.
+            make_online_compressor(default_spec)
         self.host = host
         self.port = int(port)
         #: Shard name when this server is one worker of a sharded fleet

@@ -61,7 +61,6 @@ from repro.core.dead_reckoning import DeadReckoner
 from repro.core.kernels import sync_distance_py as _sed
 from repro.exceptions import StreamError
 from repro.streaming.base import Eviction, PushEvent
-from repro.streaming.registry import register_online
 from repro.types import Fix
 
 __all__ = [
@@ -481,23 +480,3 @@ class StreamingDeadReckoning:
         self._prev = None
         return out
 
-
-def _make_squish(*, budget: int) -> StreamingSQUISH:
-    return StreamingSQUISH(budget=int(budget))
-
-
-def _make_sttrace(*, budget: int) -> StreamingSTTrace:
-    return StreamingSTTrace(budget=int(budget))
-
-
-def _make_dead_reckoning(*, epsilon: float) -> StreamingDeadReckoning:
-    return StreamingDeadReckoning(float(epsilon))
-
-
-register_online("squish", _make_squish, {"budget": "budget"})
-register_online("sttrace", _make_sttrace, {"budget": "budget"})
-register_online(
-    "dead-reckoning",
-    _make_dead_reckoning,
-    {"epsilon": "epsilon", "max_dist_error": "epsilon"},
-)

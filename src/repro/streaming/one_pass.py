@@ -16,7 +16,6 @@ from __future__ import annotations
 from repro.core.base import require_positive
 from repro.core.one_pass import FeasibleRegion, PolygonRegion, RectangleRegion
 from repro.exceptions import StreamError
-from repro.streaming.registry import register_online
 from repro.types import Fix
 
 __all__ = ["StreamingOPERB", "StreamingCISED"]
@@ -185,20 +184,3 @@ class StreamingCISED(_OnePassStreaming):
     def _make_region(self, cx: float, cy: float, r: float) -> PolygonRegion:
         return PolygonRegion(cx, cy, r, self.m)
 
-
-def _make_operb(*, epsilon: float) -> StreamingOPERB:
-    return StreamingOPERB(float(epsilon))
-
-
-def _make_cised(*, epsilon: float, m: int = 16) -> StreamingCISED:
-    return StreamingCISED(float(epsilon), m=int(m))
-
-
-register_online(
-    "operb", _make_operb, {"epsilon": "epsilon", "max_dist_error": "epsilon"}
-)
-register_online(
-    "cised",
-    _make_cised,
-    {"epsilon": "epsilon", "max_dist_error": "epsilon", "m": "m"},
-)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from repro.core.opening_window import OpeningWindow
 from repro.exceptions import StreamError
-from repro.streaming.registry import register_online
 from repro.types import Fix
 
 __all__ = ["StreamingOPW"]
@@ -173,32 +172,11 @@ def _make_opw_tr(*, epsilon: float, max_window: int | None = None) -> StreamingO
 
 
 def _make_opw_sp(
-    *, epsilon: float, max_speed_error: float, max_window: int | None = None
+    *, max_dist_error: float, max_speed_error: float, max_window: int | None = None
 ) -> StreamingOPW:
     return StreamingOPW(
-        float(epsilon),
+        float(max_dist_error),
         "synchronized",
         max_speed_error=float(max_speed_error),
         max_window=_window(max_window),
     )
-
-
-#: Shared spec keys of the opening-window family, with the CLI's aliases
-#: mapped onto factory keyword names.
-_OPW_SPEC_KEYS = {
-    "epsilon": "epsilon",
-    "max_dist_error": "epsilon",
-    "max_window": "max_window",
-}
-
-register_online("nopw", _make_nopw, _OPW_SPEC_KEYS)
-register_online("opw-tr", _make_opw_tr, _OPW_SPEC_KEYS)
-register_online(
-    "opw-sp",
-    _make_opw_sp,
-    {
-        **_OPW_SPEC_KEYS,
-        "speed": "max_speed_error",
-        "max_speed_error": "max_speed_error",
-    },
-)

@@ -1,158 +1,20 @@
-"""Per-algorithm registry of online (push-based) compressors.
+"""Name-based construction of online (push-based) compressors.
 
-Mirrors :mod:`repro.core.registry` for the streaming side: each online
-algorithm registers a keyword-only factory plus the spec keys it
-understands, and :func:`make_online_compressor` turns a name or spec
-string into a configured :class:`~repro.streaming.base
-.OnlineCompressor`. Registering a new algorithm is one
-:func:`register_online` call — spec-string support, CLI selection and
-error messages listing the streamable names all follow from the
-registry.
-
-The built-in algorithms (the opening-window family in
-:mod:`repro.streaming.online`, the one-pass family in
-:mod:`repro.streaming.one_pass`) self-register on import; the public
-functions import those modules lazily so the registry module itself
-stays import-cycle-free.
+The online forms are rows of the one algorithm table in
+:mod:`repro.core.registry`, which also holds the batch forms: a spec
+string names the same algorithm, keys and aliases in both, and a bad
+key is the same error. This module re-exports the table's online entry
+points.
 """
 
-from __future__ import annotations
-
-import importlib
-from dataclasses import dataclass
-from typing import Callable, Mapping
-
-from repro.exceptions import StreamError
-from repro.streaming.base import OnlineCompressor
+from repro.core.registry import (
+    available_online_compressors,
+    make_online_compressor,
+    register_online,
+)
 
 __all__ = [
     "available_online_compressors",
     "make_online_compressor",
     "register_online",
 ]
-
-
-@dataclass(frozen=True)
-class _OnlineRegistration:
-    factory: Callable[..., OnlineCompressor]
-    spec_keys: Mapping[str, str]
-
-
-_ONLINE: dict[str, _OnlineRegistration] = {}
-
-#: Modules whose import registers the built-in online algorithms.
-_BUILTIN_MODULES = (
-    "repro.streaming.online",
-    "repro.streaming.one_pass",
-    "repro.streaming.budget",
-)
-
-
-def register_online(
-    name: str,
-    factory: Callable[..., OnlineCompressor],
-    spec_keys: Mapping[str, str],
-) -> None:
-    """Register an online algorithm under a spec/CLI name.
-
-    Args:
-        name: registry name, normally matching the batch registry's
-            (``"opw-tr"``, ``"operb"``, ...).
-        factory: keyword-only callable building a configured compressor;
-            a call with missing or unexpected keywords must raise
-            ``TypeError`` (the plain ``def f(*, epsilon, ...)`` contract),
-            which :func:`make_online_compressor` reports as ``ValueError``.
-        spec_keys: mapping of accepted spec-string keys onto the
-            factory's keyword names (identity entries for the canonical
-            names, extra entries for CLI aliases such as ``speed``).
-
-    Raises:
-        ValueError: ``name`` is already registered.
-    """
-    if name in _ONLINE:
-        raise ValueError(f"online algorithm {name!r} is already registered")
-    _ONLINE[name] = _OnlineRegistration(factory, dict(spec_keys))
-
-
-def _ensure_builtins() -> None:
-    for module in _BUILTIN_MODULES:
-        importlib.import_module(module)
-
-
-def available_online_compressors() -> list[str]:
-    """Sorted list of registered online algorithm names."""
-    _ensure_builtins()
-    return sorted(_ONLINE)
-
-
-def make_online_compressor(
-    name: str, epsilon: float | None = None, **params: object
-) -> OnlineCompressor:
-    """Construct an online compressor by registry name or spec string.
-
-    Accepts the same unified spec grammar as
-    :func:`repro.core.registry.make_compressor` —
-    ``"opw-tr:epsilon=30"``, ``"operb:epsilon=30"``,
-    ``"opw-sp:epsilon=30,max_speed_error=5"`` (``speed`` and
-    ``max_dist_error`` alias as on the CLI, and an ``engine=`` entry is
-    ignored: streaming has one engine) — or a bare name plus keyword
-    parameters. Explicit keyword arguments override the spec's.
-
-    Args:
-        name: a registered online algorithm name, optionally with
-            ``:key=value,...`` parameters.
-        epsilon: distance threshold in metres (unless the spec sets it).
-        **params: further algorithm parameters (``max_speed_error``,
-            ``max_window``, ``m``, ...); ``None`` values are ignored.
-
-    Raises:
-        StreamError: a registered batch algorithm with no streaming form
-            (e.g. ``"td-tr"``), or an unsupported spec parameter; the
-            message lists the registered online names / supported keys.
-        UnknownCompressorError: a name registered nowhere (also
-            catchable as ``KeyError``).
-        CompressorSpecError: a malformed spec string.
-        ValueError: missing or inapplicable parameters (e.g. no
-            ``epsilon``, or a speed threshold for an algorithm that
-            takes none).
-    """
-    _ensure_builtins()
-    from repro.core.registry import available_compressors, parse_compressor_spec
-
-    spec = parse_compressor_spec(name)
-    registration = _ONLINE.get(spec.name)
-    if registration is None:
-        streamable = ", ".join(sorted(_ONLINE))
-        if spec.name in available_compressors():
-            raise StreamError(
-                f"{spec.name!r} is a batch-only algorithm with no streaming "
-                f"form; streamable algorithms: {streamable}"
-            )
-        from repro.exceptions import UnknownCompressorError
-
-        raise UnknownCompressorError(
-            f"unknown online algorithm {spec.name!r}; use one of {streamable}"
-        )
-
-    spec_keys = registration.spec_keys
-    kwargs: dict[str, object] = {}
-    for key, value in spec.params:
-        if key == "engine":
-            continue
-        if key not in spec_keys:
-            raise StreamError(
-                f"spec parameter {key!r} is not supported by the online "
-                f"{spec.name!r} compressor; supported: "
-                f"{', '.join(sorted(set(spec_keys)))}"
-            )
-        kwargs[spec_keys[key]] = value
-    if epsilon is not None:
-        kwargs["epsilon"] = epsilon
-    for key, value in params.items():
-        if value is not None:
-            kwargs[spec_keys.get(key, key)] = value
-
-    try:
-        return registration.factory(**kwargs)
-    except TypeError as exc:
-        raise ValueError(f"{spec.name}: {exc}") from None

@@ -28,10 +28,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import OpeningWindow, kernels
-from repro.core.registry import COMPRESSORS, make_compressor
+from repro.core.registry import COMPRESSORS, available_compressors, make_compressor
 from repro.datagen import URBAN, TrajectoryGenerator
 from repro.error.metrics import evaluate_compression
-from repro.streaming import make_online_compressor
+from repro.streaming import available_online_compressors, make_online_compressor
 from repro.trajectory import Trajectory
 from repro.types import Fix
 
@@ -293,15 +293,24 @@ def window_with_cap(traj: Trajectory) -> np.ndarray:
     ).indices()
 
 
-#: Each streaming opening-window spec and its batch twin.
-STREAMING_TWINS = {
-    "nopw:epsilon=25": make_compressor("nopw", **ALGORITHM_PARAMS["nopw"]).select_indices,
-    "opw-tr:epsilon=25": make_compressor("opw-tr", **ALGORITHM_PARAMS["opw-tr"]).select_indices,
-    "opw-sp:epsilon=25,speed=4": make_compressor(
-        "opw-sp", **ALGORITHM_PARAMS["opw-sp"]
-    ).select_indices,
-    "opw-tr:epsilon=25,max_window=100": window_with_cap,
+#: The spec each algorithm with a batch and an online form streams; its
+#: batch form is built from the same string.
+TWIN_SPECS = {
+    "nopw": "nopw:epsilon=25",
+    "opw-tr": "opw-tr:epsilon=25",
+    "opw-sp": "opw-sp:epsilon=25,speed=4",
+    "operb": "operb:epsilon=25",
+    "cised": "cised:epsilon=25",
+    "dead-reckoning": "dead-reckoning:epsilon=25",
 }
+#: Streaming OPW-TR under a window cap; its batch form is ``window_with_cap``.
+CAPPED_SPEC = "opw-tr:epsilon=25,max_window=100"
+
+
+def test_every_two_form_algorithm_is_paired():
+    """A new algorithm with both forms must join the case below."""
+    both = set(available_compressors()) & set(available_online_compressors())
+    assert set(TWIN_SPECS) == both
 
 
 def test_straddling_trip_streams_on_both_sides(straddling_trip):
@@ -319,10 +328,14 @@ def test_straddling_trip_streams_on_both_sides(straddling_trip):
         assert vectorized.call_count > 0 and scalar.call_count > 0, spec
 
 
-@pytest.mark.parametrize("spec", sorted(STREAMING_TWINS))
+@pytest.mark.parametrize("spec", sorted([*TWIN_SPECS.values(), CAPPED_SPEC]))
 @pytest.mark.parametrize("side", ["shipped", *SIDES])
 def test_streaming_equals_batch_on_each_side(spec: str, side: str, straddling_trip):
-    batch_times = straddling_trip.t[STREAMING_TWINS[spec](straddling_trip)]
+    if spec == CAPPED_SPEC:
+        batch_indices = window_with_cap(straddling_trip)
+    else:
+        batch_indices = make_compressor(spec).select_indices(straddling_trip)
+    batch_times = straddling_trip.t[batch_indices]
     if side == "shipped":
         times = streamed(spec, straddling_trip)
     else:

@@ -10,6 +10,7 @@ from repro.core import (
     available_compressors,
     make_compressor,
 )
+from repro.exceptions import CompressorSpecError
 
 
 class TestRegistry:
@@ -74,7 +75,7 @@ class TestRegistry:
             make_compressor("super-compress:epsilon=30")
 
     def test_bad_params_propagate(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(CompressorSpecError):
             make_compressor("td-tr", wrong_param=1.0)
 
     @pytest.mark.parametrize(
@@ -88,5 +89,5 @@ class TestRegistry:
     def test_engine_parameter_is_refused(self, build):
         """The kernels choose scalar or numpy per sweep; a batch spec or
         keyword that still names an engine fails, naming it."""
-        with pytest.raises(TypeError, match="engine"):
+        with pytest.raises(CompressorSpecError, match="engine"):
             build()

@@ -84,7 +84,7 @@ class TestParseSpec:
             spec.build()
 
     def test_unknown_param_fails_at_build(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(CompressorSpecError):
             parse_compressor_spec("td-tr:bogus=1").build()
 
     def test_make_compressor_accepts_specs(self):

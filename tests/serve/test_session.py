@@ -402,6 +402,32 @@ class TestManagerWithWal:
         expected, _ = uninterrupted.close("z")
         assert record.n_stored_points == expected.n_stored_points
 
+    def test_open_record_with_an_engine_entry_recovers(self, clock, tmp_path, zigzag):
+        """WAL open records written while specs still named an engine
+        replay as the same session without it."""
+        from repro.serve.wal import WalWriter
+        from repro.streaming import make_online_compressor
+
+        points = fixes_of(zigzag)
+        wal = WalWriter(tmp_path / "wal", durable=False)
+        wal.stage_open("z", "opw-tr:epsilon=25,engine=python")
+        wal.stage_append("z", 1, points[:7])
+        wal.stage_append("z", 2, points[7:])
+        wal.commit_sync()
+        wal.close()
+
+        manager = SessionManager(
+            TrajectoryStore(),
+            clock=clock,
+            wal=WalWriter(tmp_path / "wal", durable=False),
+        )
+        assert manager.recover()["sessions"] == 1
+        live = manager.get("z").builder.build()
+        fresh = make_online_compressor("opw-tr:epsilon=25")
+        replayed = [kept for fix in points for kept in fresh.push(fix)]
+        assert len(replayed) > 2
+        assert [Fix(*row) for row in zip(live.t, live.x, live.y)] == replayed
+
     def test_unrecoverable_spec_is_reported_not_fatal(self, clock, tmp_path):
         from repro.serve.wal import WalWriter
 

@@ -90,14 +90,14 @@ class TestSpecErrors:
             make_online_compressor("no-such-algo:epsilon=30")
 
     def test_unsupported_parameter(self):
-        with pytest.raises(StreamError) as err:
+        with pytest.raises(CompressorSpecError) as err:
             make_online_compressor("opw-tr:epsilon=30,budget=5")
         assert "budget" in str(err.value)
 
     def test_unsupported_parameter_for_one_pass(self):
         # max_window is an OPW knob; the one-pass compressors hold no
         # window, so accepting it silently would be misleading.
-        with pytest.raises(StreamError) as err:
+        with pytest.raises(CompressorSpecError) as err:
             make_online_compressor("operb:epsilon=30,max_window=64")
         assert "max_window" in str(err.value)
 
@@ -121,7 +121,7 @@ class TestSpecErrors:
 class TestRegisterOnline:
     def test_third_party_registration(self):
         from repro.streaming import StreamingOPERB, register_online
-        from repro.streaming.registry import _ONLINE
+        from repro.core.registry import _ROWS
 
         def _factory(*, epsilon):
             return StreamingOPERB(epsilon=epsilon)
@@ -132,7 +132,7 @@ class TestRegisterOnline:
             clone = make_online_compressor("test-operb-clone:epsilon=9")
             assert clone.sync_error_bound() == 9.0
         finally:
-            _ONLINE.pop("test-operb-clone", None)
+            _ROWS.pop("test-operb-clone", None)
 
     def test_duplicate_registration_rejected(self):
         from repro.streaming import register_online

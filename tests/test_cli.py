@@ -570,6 +570,21 @@ class TestServeArgumentValidation:
         assert exit_info.value.code == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.serve
+    @pytest.mark.parametrize("spec", ["td-tr:epsilon=30", "nosuch", "opw-tr:epsilon"])
+    def test_unbuildable_algorithm_exits_before_serving(self, spec, tmp_path, capsys):
+        """``--algorithm`` is built before the store loads or the WAL
+        opens: a spec no session could use exits 2 and binds nothing."""
+        code = main([
+            "serve", "--port", "0", "--algorithm", spec,
+            "--store", str(tmp_path / "s.rsto"), "--wal", str(tmp_path / "wal"),
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "serving on" not in captured.out
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "wal").exists()
+
     def test_valid_values_parse(self):
         from repro.cli import build_parser
 
