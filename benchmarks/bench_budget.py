@@ -19,8 +19,8 @@ the same budgets, as an exact dynamic program finds them.
   ratio below by 1. The tier-1 test
   ``tests/streaming/test_budget_curves.py`` requires the quick report,
   these ratios included, to equal the committed
-  ``benchmarks/baselines/BENCH_budget_ci.json`` exactly, so a refactor
-  that silently changes eviction quality fails loudly.
+  ``tests/data/golden/budget_curves.json`` exactly, so a refactor that
+  silently changes eviction quality fails loudly.
 
 A dead-reckoning sweep (epsilon, not budget, is its knob) is included
 informationally: retained points and SED per epsilon, with the online
@@ -30,9 +30,15 @@ Run standalone::
 
     PYTHONPATH=src python benchmarks/bench_budget.py
 
-or the CI-sized variant (same sweep shape, smaller workload)::
+or the quick variant (same sweep shape, smaller workload)::
 
     PYTHONPATH=src python benchmarks/bench_budget.py --quick
+
+After an intentional change to eviction quality, regenerate the golden
+report that tier-1 compares against, and review its diff::
+
+    PYTHONPATH=src python benchmarks/bench_budget.py --quick \
+        --output tests/data/golden/budget_curves.json
 """
 
 from __future__ import annotations
@@ -263,7 +269,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help=f"CI-sized run ({QUICK_TRAJS}x{QUICK_FIXES} fixes, "
+        help=f"quick run ({QUICK_TRAJS}x{QUICK_FIXES} fixes, "
              f"budgets {QUICK_BUDGETS})",
     )
     parser.add_argument(

@@ -6,9 +6,7 @@ over TCP, speak a newline-delimited JSON protocol
 compressors; retained points stream back the moment the opening window
 decides them, and closed sessions are flushed atomically into a
 :class:`~repro.storage.store.TrajectoryStore`. See ``docs/SERVING.md``
-for the protocol spec and operational semantics, and
-:mod:`repro.serve.bench` for the load generator behind
-``repro serve-bench``.
+for the protocol spec and operational semantics.
 
 Exports resolve on first use, so a router process, which imports
 :mod:`repro.serve.router`, loads neither the server nor the sessions

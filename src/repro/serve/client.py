@@ -54,8 +54,7 @@ class ServeClient:
 
     The protocol is strictly request/response per connection, so one
     client instance must not be shared between concurrently running
-    coroutines; open one connection per concurrent session instead (the
-    load generator in :mod:`repro.serve.bench` does exactly that).
+    coroutines; open one connection per concurrent session instead.
 
     Args:
         timeout: per-request deadline in seconds (``None`` = wait

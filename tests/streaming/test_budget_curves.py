@@ -6,14 +6,16 @@ each result against the offline ``td-tr-budget`` reference: a greedy
 top-down split, which the report's ``oracle`` keys name but which is
 not an optimum. Every number it reports is a pure function of that
 seed, so this test runs the same quick sweep in process and requires
-the committed baseline,
-``benchmarks/baselines/BENCH_budget_ci.json``, exactly: its curves,
-mean SED ratios and dead-reckoning sweep. A change to eviction order
-or priorities cannot hide inside a tolerance.
+the committed report, ``tests/data/golden/budget_curves.json``,
+exactly: its curves, mean SED ratios and dead-reckoning sweep. A change
+to eviction order or priorities cannot hide inside a tolerance.
 
 The bench module is loaded by path, so the sweep has one implementation.
-After an intentional change to eviction quality, regenerate the
-baseline with ``bench_budget.py --quick --output`` and review its diff.
+After an intentional change to eviction quality, regenerate the golden
+file and review its diff::
+
+    PYTHONPATH=src python benchmarks/bench_budget.py --quick \
+        --output tests/data/golden/budget_curves.json
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ assert _spec is not None and _spec.loader is not None
 bench_budget = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_budget)
 
-BASELINE = _BENCHMARKS / "baselines" / "BENCH_budget_ci.json"
+BASELINE = (
+    Path(__file__).resolve().parents[1] / "data" / "golden" / "budget_curves.json"
+)
 
 
 def test_quick_sweep_reproduces_the_committed_baseline():
