@@ -638,6 +638,11 @@ def _cmd_serve_chaos(args: argparse.Namespace) -> int:
         names = tuple(
             name for name in names if name not in ("sigkill", "worker-kill")
         )
+        if not names:
+            raise ReproError(
+                "--fast skips the sigkill and worker-kill scenarios, which "
+                "leaves none of the selected ones to run"
+            )
     report = run_chaos(names, seed=args.seed, n_fixes=args.fixes)
     for entry in report["scenarios"]:
         verdict = "PASS" if entry["passed"] else "FAIL"
@@ -666,33 +671,14 @@ def _query_local(args: argparse.Namespace) -> dict:
     try:
         if kind == "position":
             answer = engine.position_at(args.object, args.t)
-            return {
-                "object": answer.object_id,
-                "t": answer.t,
-                "x": answer.x,
-                "y": answer.y,
-                "error_bound_m": answer.error_bound_m,
-                "source": "stored",
-            }
+            return {**answer.to_wire(), "source": answer.source}
         if kind == "window":
             box = None if args.bbox is None else BBox(*args.bbox)
             ids = engine.window(args.t0, args.t1, box, args.mode)
             return {"objects": ids, "n": len(ids)}
         if kind == "nearest":
             answers = engine.nearest(args.x, args.y, args.t, k=args.k)
-            return {
-                "results": [
-                    {
-                        "object": a.object_id,
-                        "distance_m": a.distance_m,
-                        "x": a.x,
-                        "y": a.y,
-                        "error_bound_m": a.error_bound_m,
-                        "source": "stored",
-                    }
-                    for a in answers
-                ]
-            }
+            return {"results": [answer.to_wire() for answer in answers]}
         # summaries
         if args.object is not None:
             objects = {args.object: store.summary(args.object).to_wire()}
@@ -700,15 +686,10 @@ def _query_local(args: argparse.Namespace) -> dict:
             objects = {
                 key: store.summary(key).to_wire() for key in store.object_ids()
             }
-        config = store.summary_config
         return {
             "objects": objects,
             "live_sessions": [],
-            "config": {
-                "partition_points": config.partition_points,
-                "grid_m": config.grid_m,
-                "time_grid_s": config.time_grid_s,
-            },
+            "config": store.summary_config.to_wire(),
         }
     except ObjectNotFoundError as exc:
         raise ReproError(f"no stored object {exc} in {args.store}") from None

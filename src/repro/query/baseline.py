@@ -3,12 +3,9 @@
 The honesty yardstick for :class:`~repro.query.engine.QueryEngine`:
 every function here decodes whole trajectories and answers from first
 principles, with no summaries, no pruning and no partial decoding. The
-differential test suite asserts the engine's answers are identical, and
-the query benchmark uses these as the "load everything" baseline.
-
-:func:`window_hit` is also the serving tier's overlay predicate for
-sessions still in memory — live fixes are already decoded, so the
-brute-force test *is* the right test there.
+differential suites hold the engine to them, for stored records and live
+sessions alike, and the layered benchmark checks served answers against
+them. No serving path calls them: the engine answers live sessions too.
 """
 
 from __future__ import annotations

@@ -23,12 +23,19 @@ Candidates come from one mask over the store's catalog of decoded
 time spans and bboxes (:meth:`TrajectoryStore.candidates`), so the
 sweep needs no padding for quantization; summaries then prune
 partitions within each candidate.
+
+Live sessions are a second source (``QueryEngine(live=...)``): they are
+candidates by the span and bbox of the fixes they accepted, and answer
+from their snapshots through the same window test, ``position_at`` and
+ranking. A session with an accepted fix shadows its id's stored record.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from typing import Protocol
 
 import numpy as np
 
@@ -41,7 +48,7 @@ from repro.storage.store import StoredRecord, TrajectoryStore, effective_query_b
 from repro.query.summaries import ObjectSummary, PartitionSummary
 from repro.trajectory.trajectory import Trajectory
 
-__all__ = ["PositionAnswer", "NearestAnswer", "QueryEngine"]
+__all__ = ["PositionAnswer", "NearestAnswer", "LiveSession", "QueryEngine"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,10 +59,18 @@ class PositionAnswer:
     t: float
     x: float
     y: float
-    #: The stored geometry's synchronized error bound against the raw
-    #: movement (compressor guarantee + codec quantization slack), or
-    #: ``None`` when the ingest path gave no guarantee.
+    #: The answering geometry's synchronized error bound against the raw
+    #: movement (compressor guarantee, plus codec quantization slack for
+    #: a stored record), or ``None`` when the ingest path gave no
+    #: guarantee.
     error_bound_m: float | None
+    #: ``"live"`` (a live session's snapshot) or ``"stored"``.
+    source: str
+
+    def to_wire(self) -> dict:
+        """JSON-friendly ``result`` of the ``query position`` verb."""
+        return {"object": self.object_id, "t": self.t, "x": self.x, "y": self.y,
+                "error_bound_m": self.error_bound_m}
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,6 +82,28 @@ class NearestAnswer:
     x: float
     y: float
     error_bound_m: float | None
+    source: str
+
+    def to_wire(self) -> dict:
+        """JSON-friendly entry of the ``query nearest`` verb's results."""
+        return {"object": self.object_id, "distance_m": self.distance_m, "x": self.x,
+                "y": self.y, "error_bound_m": self.error_bound_m, "source": self.source}
+
+
+class LiveSession(Protocol):
+    """What the engine reads of a live session
+    (:class:`repro.serve.session.Session`): the span and bbox of its
+    accepted fixes (``None`` before the first), its error bound and its
+    snapshot of every acked fix."""
+
+    @property
+    def span(self) -> tuple[float, float] | None: ...
+    @property
+    def bbox(self) -> BBox | None: ...
+    @property
+    def sync_error_bound_m(self) -> float | None: ...
+    def snapshot(self) -> Trajectory | None:
+        """Every acked fix as a trajectory (``None`` before the first)."""
 
 
 class _QueryStats:
@@ -82,11 +119,41 @@ class _QueryStats:
         self.records: set[str] = set()
 
 
-def _bbox_distance(x: float, y: float, box: BBox) -> float:
-    """Distance from ``(x, y)`` to the closed rectangle (0 inside)."""
+def _lower_bound(x: float, y: float, box: BBox) -> float:
+    """Distance from ``(x, y)`` to the closed ``box`` (0 inside), one ulp
+    down: it must stay below every true distance after hypot rounding."""
     dx = max(box.min_x - x, 0.0, x - box.max_x)
     dy = max(box.min_y - y, 0.0, y - box.max_y)
-    return math.hypot(dx, dy)
+    return math.nextafter(math.hypot(dx, dy), -math.inf)
+
+
+def _arrays_hit(
+    t: np.ndarray, xy: np.ndarray, t0: float, t1: float, box: BBox
+) -> bool:
+    """Whether samples ``(t, xy)`` pass through ``box`` inside ``[t0, t1]``:
+    an in-window sample inside ``box``, or a segment with both ends in the
+    window meeting it. With two or more in-window samples, one inside
+    the box has an in-window incident segment meeting it, so this is the
+    slice-then-verify answer of :func:`~repro.query.baseline.window_hit`.
+    """
+    in_window = (t >= t0) & (t <= t1)
+    for i in np.nonzero(in_window)[0]:
+        if box.contains_point(float(xy[i, 0]), float(xy[i, 1])):
+            return True
+        if i + 1 < len(t) and in_window[i + 1]:
+            if segment_intersects_bbox(xy[i], xy[i + 1], box):
+                return True
+    return False
+
+
+def _live_position(session: LiveSession, when: float) -> np.ndarray | None:
+    """The live snapshot's position, or ``None`` when it misses ``when``."""
+    span = session.span
+    snapshot = None if span is None or not span[0] <= when <= span[1] \
+        else session.snapshot()
+    if snapshot is None or not snapshot.covers_time(when):
+        return None
+    return snapshot.position_at(when)
 
 
 class QueryEngine:
@@ -97,13 +164,21 @@ class QueryEngine:
             immediately (summaries are maintained incrementally).
         metrics: registry for query instrumentation; falls back to the
             ambient :func:`repro.obs.get_registry`.
+        live: live sessions by id, read at every query (the serve tier
+            passes :attr:`SessionManager.sessions
+            <repro.serve.session.SessionManager.sessions>`); ``None``
+            answers from the store alone.
     """
 
     def __init__(
-        self, store: TrajectoryStore, metrics: Registry | None = None
+        self,
+        store: TrajectoryStore,
+        metrics: Registry | None = None,
+        live: Mapping[str, LiveSession] | None = None,
     ) -> None:
         self.store = store
         self.metrics = metrics
+        self.live: Mapping[str, LiveSession] = {} if live is None else live
 
     def _registry(self) -> Registry:
         return self.metrics if self.metrics is not None else get_registry()
@@ -168,6 +243,20 @@ class QueryEngine:
             return traj.position_at(when)
         return None
 
+    def _shadowed(self, object_id: str) -> bool:
+        """Whether a live session with an accepted fix answers for the id."""
+        session = self.live.get(object_id)
+        return session is not None and session.span is not None
+
+    def _live_candidates(
+        self, t0: float, t1: float
+    ) -> Iterator[tuple[str, LiveSession, BBox]]:
+        """Live sessions whose span meets ``[t0, t1]``, with their bbox."""
+        for key, session in self.live.items():
+            span, bbox = session.span, session.bbox
+            if span is not None and bbox is not None and span[0] <= t1 and span[1] >= t0:
+                yield key, session, bbox
+
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #
@@ -175,24 +264,30 @@ class QueryEngine:
     def position_at(self, object_id: str, when: float) -> PositionAnswer:
         """Interpolated position of ``object_id`` at time ``when``.
 
+        A live session whose acked fixes cover ``when`` answers; failing
+        that, the stored record does.
+
         Raises:
-            ObjectNotFoundError: unknown id.
+            ObjectNotFoundError: no covering live session and no stored
+                record of that id.
             ValueError: ``when`` outside the stored interval.
         """
-        rec = self.store.record(object_id)
+        when = float(when)
         stats = _QueryStats()
         with self._registry().timer("query.position.s").time():
-            summary = self.store.summary(object_id)
-            position = self._position(rec, summary, float(when), stats)
+            session = self.live.get(object_id)
+            position = None if session is None else _live_position(session, when)
+            if session is not None and position is not None:
+                bound, source = session.sync_error_bound_m, "live"
+            else:
+                rec = self.store.record(object_id)
+                bound, source = rec.sync_error_bound_m, "stored"
+                position = self._position(rec, self.store.summary(object_id), when, stats)
         self._flush("position", stats)
         if position is None:
-            raise ValueError(
-                f"time {when} outside stored interval of {object_id!r}"
-            )
+            raise ValueError(f"time {when} outside stored interval of {object_id!r}")
         return PositionAnswer(
-            object_id, float(when),
-            float(position[0]), float(position[1]),
-            rec.sync_error_bound_m,
+            object_id, when, float(position[0]), float(position[1]), bound, source
         )
 
     def window(
@@ -204,13 +299,14 @@ class QueryEngine:
     ) -> list[str]:
         """Ids matching a time window, optionally restricted to a box.
 
-        Without ``box`` this is the catalog-interval overlap query
-        (exactly :meth:`TrajectoryStore.query_time_window`). With a box
-        the answer is defined on decoded geometry: an object matches
-        when an in-window sample lies in the (mode-adjusted) box or an
-        in-window segment intersects it — identical to
+        Without ``box`` this is the interval overlap query: the
+        catalog's (exactly :meth:`TrajectoryStore.query_time_window`)
+        and the live sessions' spans. With a box the answer is defined
+        on decoded geometry: an object matches when an in-window sample
+        lies in the (mode-adjusted) box or an in-window segment
+        intersects it — identical to
         :func:`~repro.query.baseline.brute_window`, but computed from
-        only the partitions that survive pruning.
+        only the partitions and live snapshots that survive pruning.
         """
         t0, t1 = float(t0), float(t1)
         if t1 < t0:
@@ -218,7 +314,12 @@ class QueryEngine:
         if mode not in ("stored", "possibly", "definitely"):
             raise ValueError(f"unknown query mode {mode!r}")
         if box is None:
-            out = self.store.query_time_window(t0, t1)
+            out = [
+                key for key in self.store.query_time_window(t0, t1)
+                if not self._shadowed(key)
+            ]
+            out += [key for key, _, _ in self._live_candidates(t0, t1)]
+            out.sort()
             self._flush("window", _QueryStats())
             return out
         stats = _QueryStats()
@@ -227,6 +328,8 @@ class QueryEngine:
                 if mode == "possibly" else box
             out = []
             for key in self.store.candidates(t0, t1, sweep):
+                if self._shadowed(key):
+                    continue
                 rec = self.store.record(key)
                 effective = effective_query_box(box, rec, mode)
                 if effective is None or not rec.bbox.intersects(effective):
@@ -234,6 +337,15 @@ class QueryEngine:
                 summary = self.store.summary(key)
                 if self._window_hit(rec, summary, t0, t1, effective, stats):
                     out.append(key)
+            for key, session, bbox in self._live_candidates(t0, t1):
+                effective = effective_query_box(box, session, mode)
+                if effective is None or not bbox.intersects(effective):
+                    continue
+                snapshot = session.snapshot()
+                if snapshot is not None and _arrays_hit(snapshot.t, snapshot.xy,
+                                                        t0, t1, effective):
+                    out.append(key)
+            out.sort()
         self._flush("window", stats)
         return out
 
@@ -248,12 +360,9 @@ class QueryEngine:
     ) -> bool:
         """Decoded-geometry window test over surviving partitions.
 
-        A match is an in-window sample inside ``box`` or a segment with
-        both endpoints in the window intersecting ``box``. Each global
-        segment lives in exactly one partition (bridge included), and an
-        in-window sample inside the box always has an in-window incident
-        segment when the object has two or more in-window samples — so
-        the per-partition test reproduces the slice-then-verify answer.
+        Each global segment lives in exactly one partition (bridge
+        included), so :func:`_arrays_hit` over each decoded partition
+        reproduces the whole-trajectory answer.
         """
         stats.considered += len(summary.partitions)
         for part in summary.partitions:
@@ -262,16 +371,8 @@ class QueryEngine:
             if not part.bbox.intersects(box):
                 continue
             t, xy = self._decode(rec, part, stats)
-            in_window = (t >= t0) & (t <= t1)
-            hits = np.nonzero(in_window)[0]
-            if hits.size == 0:
-                continue
-            for i in hits:
-                if box.contains_point(float(xy[i, 0]), float(xy[i, 1])):
-                    return True
-                if i + 1 < len(t) and in_window[i + 1]:
-                    if segment_intersects_bbox(xy[i], xy[i + 1], box):
-                        return True
+            if _arrays_hit(t, xy, t0, t1, box):
+                return True
         return False
 
     def nearest(
@@ -279,8 +380,9 @@ class QueryEngine:
     ) -> list[NearestAnswer]:
         """The ``k`` objects nearest to ``(x, y)`` at time ``when``.
 
-        Candidates are ranked by their summary lower bound (distance to
-        the covering partition's box) and decoded in that order; the
+        Candidates are ranked by a lower bound — the distance to the
+        covering partition's box of a stored record, to the accepted
+        fixes' bbox of a live session — and answered in that order; the
         scan stops as soon as the next lower bound exceeds the current
         k-th distance. Ties are broken by object id, identical to the
         brute-force ranking.
@@ -291,35 +393,37 @@ class QueryEngine:
         target = np.array([x, y])
         stats = _QueryStats()
         with self._registry().timer("query.nearest.s").time():
-            entries: list[tuple[float, str]] = []
+            entries: list[tuple[float, str, LiveSession | None]] = []
             for key in self.store.query_time_window(when, when):
-                summary = self.store.summary(key)
-                bound = math.inf
-                for part in summary.partitions:
-                    if part.covers_time(when):
-                        bound = min(bound, _bbox_distance(x, y, part.bbox))
-                if math.isfinite(bound):
-                    # One ulp down: the bound must stay below every true
-                    # distance even after hypot rounding.
-                    entries.append((math.nextafter(bound, -math.inf), key))
-            entries.sort()
-            best: list[tuple[float, str, float, float]] = []
-            for lower, key in entries:
-                if len(best) == k and lower > best[-1][0]:
+                if self._shadowed(key):
+                    continue
+                bounds = [
+                    _lower_bound(x, y, part.bbox)
+                    for part in self.store.summary(key).partitions
+                    if part.covers_time(when)
+                ]
+                if bounds:
+                    entries.append((min(bounds), key, None))
+            for key, session, bbox in self._live_candidates(when, when):
+                entries.append((_lower_bound(x, y, bbox), key, session))
+            entries.sort()  # ids are unique: sessions are never compared
+            best: list[NearestAnswer] = []
+            for lower, key, session in entries:
+                if len(best) == k and lower > best[-1].distance_m:
                     break
-                rec = self.store.record(key)
-                position = self._position(rec, self.store.summary(key), when, stats)
+                if session is None:
+                    rec = self.store.record(key)
+                    bound, source = rec.sync_error_bound_m, "stored"
+                    position = self._position(rec, self.store.summary(key), when, stats)
+                else:
+                    bound, source = session.sync_error_bound_m, "live"
+                    position = _live_position(session, when)
                 if position is None:
-                    continue  # decoded interval does not cover ``when``
+                    continue  # the geometry does not cover ``when``
                 distance = float(np.hypot(*(position - target)))
-                best.append((distance, key, float(position[0]), float(position[1])))
-                best.sort()
+                best.append(NearestAnswer(key, distance, float(position[0]),
+                                          float(position[1]), bound, source))
+                best.sort(key=lambda answer: (answer.distance_m, answer.object_id))
                 del best[k:]
         self._flush("nearest", stats)
-        return [
-            NearestAnswer(
-                key, distance, px, py,
-                self.store.record(key).sync_error_bound_m,
-            )
-            for distance, key, px, py in best
-        ]
+        return best

@@ -81,6 +81,11 @@ class SummaryConfig:
         if self.grid_m <= 0 or self.time_grid_s <= 0:
             raise ValueError("summary grids must be positive")
 
+    def to_wire(self) -> dict:
+        """JSON-friendly ``config`` of the ``summaries`` verb."""
+        return {"partition_points": self.partition_points, "grid_m": self.grid_m,
+                "time_grid_s": self.time_grid_s}
+
 
 @dataclass(frozen=True, slots=True)
 class PartitionSummary:

@@ -675,12 +675,14 @@ def run_chaos(
     seed: int = 7,
     n_fixes: int = 120,
 ) -> dict:
-    """Run the selected scenarios (default: all) and summarize.
+    """Run the selected scenarios (``None``: all) and summarize.
+
+    An empty selection runs nothing.
 
     Returns:
         ``{"passed": bool, "seed": ..., "scenarios": [per-scenario dicts]}``.
     """
-    names = tuple(scenarios) if scenarios else SCENARIOS
+    names = SCENARIOS if scenarios is None else tuple(scenarios)
     results = [run_scenario(name, seed=seed, n_fixes=n_fixes) for name in names]
     return {
         "passed": all(r.passed for r in results),

@@ -33,15 +33,15 @@ import contextlib
 import math
 import time
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable
-
-import numpy as np
 
 from repro.exceptions import ObjectNotFoundError, ReproError, ServeError, WalError
 from repro.geometry.bbox import BBox
 from repro.obs import LATENCY_BUCKETS_MS, Registry, span
-from repro.query.baseline import window_hit
+# Not called here: benchmarks/layered/layer_trace.py patches ``window_hit``
+# on this module by name, and without the name every traced serve process
+# dies at start-up.
+from repro.query.baseline import window_hit  # noqa: F401
 from repro.query.engine import QueryEngine
 from repro.serve.faults import FaultInjector
 from repro.serve.protocol import (
@@ -56,9 +56,9 @@ from repro.serve.protocol import (
     parse_flat_fixes,
     render_fixes,
 )
-from repro.serve.session import Session, SessionManager
+from repro.serve.session import SessionManager
 from repro.serve.wal import WalWriter
-from repro.storage.store import TrajectoryStore, effective_query_box
+from repro.storage.store import TrajectoryStore
 from repro.streaming.registry import make_online_compressor
 
 __all__ = ["TrajectoryServer"]
@@ -185,9 +185,11 @@ class TrajectoryServer:
             clock=clock,
         )
         #: Summary-pruned read path over the same store the sessions
-        #: flush into; live sessions are overlaid per query so an acked
-        #: fix is queryable before its session closes.
-        self.engine = QueryEngine(self.store, metrics=self.metrics)
+        #: flush into, with the live sessions as a second source: an
+        #: acked fix is queryable before its session closes.
+        self.engine = QueryEngine(
+            self.store, metrics=self.metrics, live=self.manager.sessions
+        )
         self._latency = self.metrics.histogram(
             "append_latency_ms", buckets=_LATENCY_BUCKETS_MS
         )
@@ -649,31 +651,6 @@ class TrajectoryServer:
         except ValueError as exc:
             raise ServeError(str(exc), code="bad-request") from None
 
-    @staticmethod
-    def _live_record(session: Session) -> SimpleNamespace:
-        """A record-shaped shim: live sessions share the stored records'
-        mode semantics through :func:`effective_query_box`."""
-        return SimpleNamespace(
-            sync_error_bound_m=session.compressor.sync_error_bound()
-        )
-
-    def _overlays(self) -> dict:
-        """Live sessions' acked-so-far trajectories, keyed by id.
-
-        The read path's query-after-ack overlay: wherever an id appears
-        here, the snapshot answers instead of any stored record of the
-        same id (the live session is the newer data). Sessions that
-        never acked a fix are omitted — the stored record, if any, still
-        answers for them.
-        """
-        out: dict = {}
-        for session_id in self.manager.live_session_ids:
-            session = self.manager.peek(session_id)
-            snapshot = session.snapshot() if session is not None else None
-            if snapshot is not None:
-                out[session_id] = snapshot
-        return out
-
     def _op_query(self, message: dict) -> dict:
         kind = message.get("query")
         if kind == "position":
@@ -697,27 +674,6 @@ class TrajectoryServer:
                 code="bad-request",
             )
         when = self._number(message, "t")
-        session = self.manager.peek(object_id)
-        if session is not None:
-            snapshot = session.snapshot()
-            if snapshot is not None and snapshot.covers_time(when):
-                position = snapshot.position_at(when)
-                # The engine never ran; count the query here so the
-                # fleet-wide counters cover the live path too.
-                self.metrics.counter("queries").inc()
-                self.metrics.counter("queries_position").inc()
-                return ok_response(
-                    "query",
-                    query="position",
-                    source="live",
-                    result={
-                        "object": object_id,
-                        "t": when,
-                        "x": float(position[0]),
-                        "y": float(position[1]),
-                        "error_bound_m": session.compressor.sync_error_bound(),
-                    },
-                )
         try:
             answer = self.engine.position_at(object_id, when)
         except ObjectNotFoundError:
@@ -728,16 +684,7 @@ class TrajectoryServer:
         except ValueError as exc:
             raise ServeError(str(exc), code="not-found") from None
         return ok_response(
-            "query",
-            query="position",
-            source="stored",
-            result={
-                "object": answer.object_id,
-                "t": answer.t,
-                "x": answer.x,
-                "y": answer.y,
-                "error_bound_m": answer.error_bound_m,
-            },
+            "query", query="position", source=answer.source, result=answer.to_wire()
         )
 
     def _query_window(self, message: dict) -> dict:
@@ -751,27 +698,7 @@ class TrajectoryServer:
         if mode not in ("stored", "possibly", "definitely"):
             raise ServeError(f"unknown query mode {mode!r}", code="bad-request")
         box = self._parse_bbox(message["bbox"]) if "bbox" in message else None
-        stored = self.engine.window(t0, t1, box, mode)
-        overlays = self._overlays()
-        live_hits = []
-        for session_id, snapshot in overlays.items():
-            if box is None:
-                hit = snapshot.t[0] <= t1 and snapshot.t[-1] >= t0
-            else:
-                session = self.manager.peek(session_id)
-                effective = (
-                    None
-                    if session is None
-                    else effective_query_box(box, self._live_record(session), mode)
-                )
-                hit = effective is not None and window_hit(
-                    snapshot, t0, t1, effective
-                )
-            if hit:
-                live_hits.append(session_id)
-        objects = sorted(
-            set(live_hits) | {key for key in stored if key not in overlays}
-        )
+        objects = self.engine.window(t0, t1, box, mode)
         return ok_response("query", query="window", objects=objects, n=len(objects))
 
     def _query_nearest(self, message: dict) -> dict:
@@ -783,45 +710,7 @@ class TrajectoryServer:
             raise ServeError(
                 f"'k' must be a positive integer, got {k!r}", code="bad-request"
             )
-        overlays = self._overlays()
-        # Ask for one extra stored answer per overlaid id that is also
-        # stored: only such an overlay can supersede one of the k slots.
-        shadowed = sum(1 for session_id in overlays if session_id in self.store)
-        stored = self.engine.nearest(x, y, when, k=k + shadowed)
-        ranked = [
-            (a.distance_m, a.object_id, a.x, a.y, a.error_bound_m, "stored")
-            for a in stored
-            if a.object_id not in overlays
-        ]
-        for session_id, snapshot in overlays.items():
-            if not snapshot.covers_time(when):
-                continue
-            position = snapshot.position_at(when)
-            distance = float(np.hypot(position[0] - x, position[1] - y))
-            session = self.manager.peek(session_id)
-            bound = None if session is None else session.compressor.sync_error_bound()
-            ranked.append(
-                (
-                    distance,
-                    session_id,
-                    float(position[0]),
-                    float(position[1]),
-                    bound,
-                    "live",
-                )
-            )
-        ranked.sort(key=lambda entry: (entry[0], entry[1]))
-        results = [
-            {
-                "object": object_id,
-                "distance_m": distance,
-                "x": px,
-                "y": py,
-                "error_bound_m": bound,
-                "source": source,
-            }
-            for distance, object_id, px, py, bound, source in ranked[:k]
-        ]
+        results = [answer.to_wire() for answer in self.engine.nearest(x, y, when, k=k)]
         return ok_response("query", query="nearest", results=results)
 
     def _op_summaries(self, message: dict) -> dict:
@@ -846,7 +735,6 @@ class TrajectoryServer:
                 objects=objects,
                 live_sessions=[object_id] if is_live else [],
             )
-        config = self.store.summary_config
         return ok_response(
             "summaries",
             objects={
@@ -854,11 +742,7 @@ class TrajectoryServer:
                 for key in self.store.object_ids()
             },
             live_sessions=self.manager.live_session_ids,
-            config={
-                "partition_points": config.partition_points,
-                "grid_m": config.grid_m,
-                "time_grid_s": config.time_grid_s,
-            },
+            config=self.store.summary_config.to_wire(),
         )
 
     def stats(self) -> dict:

@@ -31,11 +31,13 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from repro.exceptions import ReproError, ServeError, StorageError, StreamError
+from repro.geometry.bbox import BBox
 from repro.obs import Registry, span
 from repro.serve.wal import WalWriter
 from repro.storage.store import StoredRecord, TrajectoryStore
@@ -84,6 +86,8 @@ class Session:
         "compressor",
         "builder",
         "pending",
+        "span",
+        "bbox",
         "n_fixes_in",
         "n_retained",
         "n_evicted",
@@ -109,6 +113,11 @@ class Session:
         #: queries can see every acked fix (:meth:`snapshot`); its size
         #: tracks the compressor's own working window.
         self.pending: list[Fix] = []
+        #: Time span and bbox of every accepted fix (``None`` before the
+        #: first), which eviction and renegotiation never shrink: the
+        #: span is :meth:`snapshot`'s, the bbox bounds it.
+        self.span: tuple[float, float] | None = None
+        self.bbox: BBox | None = None
         self.n_fixes_in = 0
         self.n_retained = 0
         #: Previously retained fixes later retracted (budget compressors).
@@ -182,7 +191,24 @@ class Session:
             self.builder.append_fix(point)
         for point in evicted:
             self.builder.remove_time(point.t)
-        self.pending.extend(fixes[:accepted])
+        if accepted:
+            batch = fixes[:accepted]
+            self.pending.extend(batch)
+            box = self.bbox
+            lo_x, lo_y, hi_x, hi_y = (batch[0].x, batch[0].y) * 2 if box is None \
+                else (box.min_x, box.min_y, box.max_x, box.max_y)
+            for _, x, y in batch:  # one pass costs a third of four min/max calls
+                if x < lo_x:
+                    lo_x = x
+                elif x > hi_x:
+                    hi_x = x
+                if y < lo_y:
+                    lo_y = y
+                elif y > hi_y:
+                    hi_y = y
+            self.bbox = BBox(float(lo_x), float(lo_y), float(hi_x), float(hi_y))
+            first = float(batch[0].t) if self.span is None else self.span[0]
+            self.span = (first, float(batch[-1].t))
         if kept:
             last_kept_t = kept[-1].t
             self.pending = [f for f in self.pending if f.t > last_kept_t]
@@ -208,6 +234,11 @@ class Session:
         if len(self.builder) == 0:
             return None, tail
         return self.builder.build(), tail
+
+    @property
+    def sync_error_bound_m(self) -> float | None:
+        """The compressor's bound on the snapshot (nothing is quantized)."""
+        return self.compressor.sync_error_bound()
 
     @property
     def budget(self) -> int | None:
@@ -349,6 +380,9 @@ class SessionManager:
         # Ordered least-recently-active first: append moves to the end,
         # so eviction scans from the front and stops at the first keeper.
         self._sessions: OrderedDict[str, Session] = OrderedDict()
+        #: Read-only live view of the sessions by id (the query engine's
+        #: live source).
+        self.sessions: Mapping[str, Session] = MappingProxyType(self._sessions)
         #: Bounded diagnostics for the ``stats`` verb: most recent
         #: flush failures swallowed by the idle sweep, and sessions the
         #: recovery replay could not rebuild.
@@ -435,16 +469,6 @@ class SessionManager:
                 f"no open session {session_id!r}", code="unknown-session"
             )
         return session
-
-    def peek(self, session_id: object) -> Session | None:
-        """The live session for ``session_id``, or ``None`` (no error).
-
-        The read path's lookup: queries overlay live sessions when one
-        exists and fall back to stored records when one does not.
-        """
-        return (
-            self._sessions.get(session_id) if isinstance(session_id, str) else None
-        )
 
     def renegotiate_session(self, session_id: object, budget: int) -> list[Fix]:
         """Tighten one session's point budget; returns the evictions.
@@ -793,7 +817,7 @@ class SessionManager:
                     # deterministic, so overwriting is the safe outcome.
                     replace=self.replace or session.recovered,
                     raw_point_count=session.n_fixes_in,
-                    sync_error_bound_m=session.compressor.sync_error_bound(),
+                    sync_error_bound_m=session.sync_error_bound_m,
                 )
             except StorageError as exc:
                 raise ServeError(str(exc), code="storage") from exc

@@ -71,7 +71,7 @@ from repro.storage.codec import (
 from repro.trajectory.trajectory import Trajectory
 
 if TYPE_CHECKING:  # the engine module imports this one
-    from repro.query.engine import QueryEngine
+    from repro.query.engine import LiveSession, QueryEngine
 
 __all__ = [
     "StoredRecord",
@@ -825,13 +825,15 @@ class TrajectoryStore:
         return store
 
 
-def effective_query_box(box: BBox, rec: StoredRecord, mode: str) -> BBox | None:
-    """The box to test a record's stored geometry against.
+def effective_query_box(
+    box: BBox, rec: StoredRecord | LiveSession, mode: str
+) -> BBox | None:
+    """The box to test a record's (or a live session's) geometry against.
 
     Turns the recorded error margin into the three answer semantics of
     :meth:`TrajectoryStore.query_bbox` (``stored`` / ``possibly`` /
-    ``definitely``); shared by the query engine, the brute-force
-    baseline and the serve tier's live overlay so all answer
+    ``definitely``); shared by the query engine, for stored records and
+    live sessions alike, and the brute-force baseline, so all answer
     identically.
     """
     if mode == "stored":

@@ -11,9 +11,20 @@ from __future__ import annotations
 
 import pytest
 
-from tests.serve.chaos import FAST_SCENARIOS, SLOW_SCENARIOS, run_scenario
+import repro.serve.chaos
+from tests.serve.chaos import FAST_SCENARIOS, SLOW_SCENARIOS, run_chaos, run_scenario
 
 pytestmark = [pytest.mark.serve, pytest.mark.chaos]
+
+
+def test_an_empty_selection_runs_nothing(monkeypatch):
+    ran: list[str] = []
+    monkeypatch.setattr(
+        repro.serve.chaos, "run_scenario", lambda name, **_: ran.append(name)
+    )
+    report = run_chaos(())
+    assert ran == []
+    assert report["scenarios"] == []
 
 
 @pytest.mark.parametrize("scenario", FAST_SCENARIOS)

@@ -591,6 +591,19 @@ class TestServeArgumentValidation:
         assert args.fast is True
         assert args.scenario == ["torn-tail"]
 
+    def test_fast_run_with_no_scenario_left_runs_nothing(self, monkeypatch, capsys):
+        """``--fast`` drops sigkill: exit 2 with one error line, not a run
+        of every scenario."""
+        import repro.serve.chaos as chaos
+
+        ran: list[str] = []
+        monkeypatch.setattr(chaos, "run_scenario", lambda name, **_: ran.append(name))
+        code = main(["serve-chaos", "--fast", "--scenario", "sigkill"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert ran == []
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_unknown_chaos_scenario_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["serve-chaos", "--scenario", "nosuch"])
