@@ -540,10 +540,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         asyncio.run(_run())
     finally:
-        # Abnormal exits land here with sessions possibly un-flushed;
-        # persisting the store file is safe (atomic) and cheap even
-        # when clean.
-        server.manager.persist()
+        # Abnormal exits land here with sessions possibly un-flushed:
+        # persist the store file (atomic) and release the locks. After
+        # a drain this does nothing.
+        server.close()
     return 0
 
 

@@ -17,7 +17,12 @@ import os
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, Iterable
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: files are not locked
+    fcntl = None  # type: ignore[assignment]
 
 __all__ = [
     "crc32",
@@ -25,6 +30,7 @@ __all__ = [
     "encode_crc_line",
     "decode_crc_line",
     "fsync_directory",
+    "lock_file",
     "write_atomic",
     "write_atomic_json",
     "parse_on_malformed",
@@ -36,9 +42,10 @@ __all__ = [
 ON_MALFORMED_MODES = ("raise", "skip", "quarantine")
 
 
-def crc32(data: bytes) -> int:
-    """Unsigned CRC-32 of ``data`` (the library's standard checksum)."""
-    return zlib.crc32(data) & 0xFFFFFFFF
+def crc32(data: bytes, value: int = 0) -> int:
+    """Unsigned CRC-32 of ``data`` (the library's standard checksum);
+    ``value`` is the CRC of bytes that precede it, to continue a sum."""
+    return zlib.crc32(data, value) & 0xFFFFFFFF
 
 
 def crc32_text(text: str) -> int:
@@ -97,9 +104,27 @@ def fsync_directory(directory: Path) -> None:
         os.close(fd)
 
 
+def lock_file(path: "str | Path") -> "IO[bytes] | None":
+    """Take an exclusive, non-blocking ``flock`` on the file ``path``.
+
+    The file is created when absent and never written. Returns the open
+    file, whose closing (or the process's exit) releases the lock, or
+    ``None`` when another open file already holds it. Without POSIX
+    ``fcntl`` nothing is locked and the open file is still returned.
+    """
+    handle = open(path, "ab")
+    if fcntl is not None:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            handle.close()
+            return None
+    return handle
+
+
 def write_atomic(
     path: "str | Path",
-    data: "bytes | bytearray | str",
+    data: "bytes | bytearray | str | Iterable[bytes]",
     *,
     encoding: str = "utf-8",
     durable: bool = True,
@@ -112,7 +137,8 @@ def write_atomic(
     Args:
         path: final destination; the temporary file is created next to
             it so the final :func:`os.replace` stays on one filesystem.
-        data: bytes or a bytearray, or a string encoded with ``encoding``.
+        data: bytes or a bytearray, a string encoded with ``encoding``,
+            or an iterable of byte chunks written one after another.
         encoding: text encoding for string data.
         durable: fsync the file (and its directory) before/after the
             rename. ``False`` keeps atomicity but skips the flushes —
@@ -126,7 +152,10 @@ def write_atomic(
     )
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            if isinstance(data, (bytes, bytearray)):
+                handle.write(data)
+            else:
+                handle.writelines(data)
             handle.flush()
             if durable:
                 os.fsync(handle.fileno())

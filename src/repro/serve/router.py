@@ -83,14 +83,16 @@ def merge_partition_stores(
             continue
         partition = TrajectoryStore.load(handle.store_path)
         partitions[handle.name] = len(partition)
-        for object_id in partition.object_ids():
-            if object_id in merged and not replace:
+        if not replace:
+            clash = next((key for key in partition.object_ids() if key in merged), None)
+            if clash is not None:
                 raise ServeError(
-                    f"object {object_id!r} appears in more than one shard "
+                    f"object {clash!r} appears in more than one shard "
                     f"partition (ring violation)",
                     code="storage",
                 )
-            merged.adopt_record(partition.record(object_id), replace=replace)
+        # The partition's columns move as they are: its load checked them.
+        merged.merge_from(partition, replace=replace)
     merged.save(merged_path, durable=durable)
     return {
         "path": str(merged_path),

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,11 +42,13 @@ __all__ = [
     "decode_trajectory",
     "blob_crc_ok",
     "decode_chains",
+    "encode_varints",
+    "decode_varints",
     "raw_size_bytes",
     "BlobLayout",
-    "RawPartition",
+    "PartitionArrays",
     "blob_layout",
-    "scan_partitions",
+    "partition_arrays",
     "decode_partition",
 ]
 
@@ -286,6 +288,48 @@ def decode_chains(
     return rows, errors
 
 
+def encode_varints(values: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """:func:`encode_varint` of every uint64 in ``values``, back to back,
+    and the end offset of each varint in the result."""
+    sizes = np.ones(values.size, np.uint8)
+    for k in range(1, _MAX_VARINT_BYTES):
+        sizes += values >= np.uint64(1 << 7 * k)
+    ends = np.cumsum(sizes, dtype=np.int64)
+    out = np.empty(int(ends[-1]) if ends.size else 0, np.uint8)
+    starts = ends - sizes
+    for k in range(int(sizes.max(initial=0))):
+        # Byte k of every varint at least k + 1 bytes long.
+        picked = np.flatnonzero(sizes > k) if k else slice(None)
+        byte = (values[picked] >> np.uint64(7 * k)).astype(np.uint8) & np.uint8(0x7F)
+        byte[sizes[picked] > k + 1] |= np.uint8(0x80)
+        out[starts[picked] + k] = byte
+    return out.tobytes(), ends
+
+
+def decode_varints(data: bytes | memoryview) -> np.ndarray:
+    """The back-to-back varints filling ``data``, as uint64; the inverse
+    of :func:`encode_varints`.
+
+    Raises:
+        CodecError: the last varint is cut off, or one is wider than 64
+            bits (as :func:`decode_varint` refuses it).
+    """
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf < 0x80)
+    if ends.size != 0 and ends[-1] != buf.size - 1 or ends.size == 0 < buf.size:
+        raise CodecError("truncated varint")
+    starts = np.append(0, ends[:-1] + 1)[: ends.size]
+    sizes = ends - starts + 1
+    if ((sizes > _MAX_VARINT_BYTES) | ((sizes == _MAX_VARINT_BYTES) & (buf[ends] > 1))).any():
+        raise CodecError("varint too long")
+    values = np.zeros(ends.size, np.uint64)
+    for k in range(int(sizes.max(initial=0))):
+        picked = np.flatnonzero(sizes > k) if k else slice(None)
+        values[picked] |= (buf[starts[picked] + k] & np.uint8(0x7F)).astype(np.uint64) \
+            << np.uint64(7 * k)
+    return values
+
+
 def _decode_region(data: bytes, start: int, stop: int, count: int) -> np.ndarray:
     """The ``count`` points of one region of ``data``; raises on damage."""
     rows, (error,) = decode_chains(memoryview(data)[start:stop], (0, stop - start), (count,))
@@ -301,7 +345,7 @@ def _decode_region(data: bytes, start: int, stop: int, count: int) -> np.ndarray
 # without a restart state. Rather than change the blob format, the query
 # layer keeps *checkpoints* alongside each blob: the byte offset where a
 # partition's varints begin plus the absolute quantized integers of the
-# point just before it. :func:`scan_partitions` derives those checkpoints
+# point just before it. :func:`partition_arrays` derives those checkpoints
 # in one linear pass at ingest time; :func:`decode_partition` then decodes
 # any partition in O(partition) bytes. Partial decodes do not re-verify
 # the CRC trailer — the store checks each record's checksum at load time,
@@ -322,28 +366,6 @@ class BlobLayout:
     points_offset: int
     #: End of the point region (excludes the CRC trailer when present).
     payload_end: int
-
-
-@dataclass(frozen=True, slots=True)
-class RawPartition:
-    """One partition's restart state and integer-space extents.
-
-    ``prev`` is the absolute quantized ``(t, x, y)`` of the point
-    immediately before the partition (the delta base), or ``None`` for
-    the first partition. The extents cover the partition's own points
-    *plus* that bridging point, so every inter-partition segment is
-    bounded by exactly one partition.
-    """
-
-    offset: int
-    prev: tuple[int, int, int] | None
-    n_points: int
-    t_lo_q: int
-    t_hi_q: int
-    x_lo_q: int
-    x_hi_q: int
-    y_lo_q: int
-    y_hi_q: int
 
 
 def blob_layout(data: bytes) -> BlobLayout:
@@ -377,13 +399,29 @@ def blob_layout(data: bytes) -> BlobLayout:
     return BlobLayout(version, object_id, time_res, coord_res, n, offset, end)
 
 
-def scan_partitions(
-    data: bytes, stride: int, rows: np.ndarray | None = None
-) -> tuple[BlobLayout, list[RawPartition]]:
-    """One pass over a blob, yielding restart checkpoints.
+class PartitionArrays(NamedTuple):
+    """Every partition of one blob as columns (one row per partition).
 
-    Partition ``k`` owns points ``[k*stride, (k+1)*stride)``; its ``prev``
-    state is point ``k*stride - 1``, so decoding a partition with its
+    ``prev`` row 0 is zeros: the first partition has no delta base. The
+    extents are ``(t, x, y)`` quantized integers and cover the
+    partition's own points plus its bridging point.
+    """
+
+    layout: BlobLayout
+    offsets: np.ndarray
+    counts: np.ndarray
+    prev: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def partition_arrays(
+    data: bytes, stride: int, rows: np.ndarray | None = None
+) -> PartitionArrays:
+    """One pass over a blob, yielding its restart checkpoints as columns.
+
+    Partition ``k`` owns points ``[k*stride, (k+1)*stride)``; its delta
+    base is point ``k*stride - 1``, so decoding a partition with its
     bridge point included reproduces every segment that crosses into it.
     ``rows`` are the blob's quantized points when the caller has already
     decoded them; otherwise the blob is decoded here.
@@ -401,21 +439,14 @@ def scan_partitions(
                            layout.points_offset)
     offsets = np.append(0, np.flatnonzero(region < 0x80)[3 * firsts[1:] - 1] + 1)
     # Extents cover the partition's own points plus its bridge point.
-    bridges = rows[firsts[1:] - 1]
+    prev = np.zeros((len(firsts), 3), np.int64)
+    prev[1:] = rows[firsts[1:] - 1]
     lo = np.minimum.reduceat(rows, firsts)
     hi = np.maximum.reduceat(rows, firsts)
-    np.minimum(lo[1:], bridges, out=lo[1:])
-    np.maximum(hi[1:], bridges, out=hi[1:])
-    t_lo = np.append(rows[0, 0], bridges[:, 0])
-    prevs: list = [None, *map(tuple, bridges.tolist())]
-    return layout, [
-        RawPartition(layout.points_offset + offset, prev, last - first + 1, *extents)
-        for offset, prev, first, last, *extents in zip(
-            offsets.tolist(), prevs, firsts.tolist(), lasts.tolist(),
-            t_lo.tolist(), rows[lasts, 0].tolist(),
-            lo[:, 1].tolist(), hi[:, 1].tolist(), lo[:, 2].tolist(), hi[:, 2].tolist(),
-        )
-    ]
+    np.minimum(lo[1:], prev[1:], out=lo[1:])
+    np.maximum(hi[1:], prev[1:], out=hi[1:])
+    return PartitionArrays(layout, layout.points_offset + offsets, lasts - firsts + 1,
+                           prev, lo, hi)
 
 
 def decode_partition(

@@ -25,7 +25,7 @@ from repro.storage.codec import (
     blob_layout,
     decode_chains,
     decode_partition,
-    scan_partitions,
+    partition_arrays,
 )
 from repro.trajectory import Trajectory
 
@@ -279,8 +279,8 @@ class TestVectorisedDecoder:
         back = decode_trajectory(blob)
         assert len(back) == 1
         assert back.t.tobytes() == scalar_decode(blob).t.tobytes()
-        layout, parts = scan_partitions(blob, 1)
-        assert [(p.n_points, p.prev) for p in parts] == [(1, None)]
+        parts = partition_arrays(blob, 1)
+        assert parts.counts.tolist() == [1] and parts.prev.tolist() == [[0, 0, 0]]
 
     @settings(max_examples=60, deadline=None)
     @given(trajectories(min_points=1, max_points=50, coord_range=5e4), st.integers(1, 55))
@@ -288,20 +288,22 @@ class TestVectorisedDecoder:
         blob = encode_trajectory(traj)
         full = decode_trajectory(blob)
         t_q, x_q, y_q, end = scalar_points(blob)
-        layout, parts = scan_partitions(blob, stride)
-        assert sum(part.n_points for part in parts) == len(full)
-        for k, part in enumerate(parts):
+        parts = partition_arrays(blob, stride)
+        assert parts.counts.sum() == len(full)
+        for k, (offset, count, prev) in enumerate(zip(
+            parts.offsets.tolist(), parts.counts.tolist(), map(tuple, parts.prev.tolist())
+        )):
             first = k * stride
-            lo = first - (1 if part.prev is not None else 0)
-            hi = first + part.n_points
-            t, xy, stop = decode_partition(blob, layout, part.offset, part.n_points, part.prev)
+            lo = first - (1 if k else 0)
+            hi = first + count
+            t, xy, stop = decode_partition(blob, parts.layout, offset, count,
+                                           prev if k else None)
             assert t.tobytes() == full.t[lo:hi].tobytes()
             assert xy.tobytes() == full.xy[lo:hi].tobytes()
-            assert part.prev == (None if k == 0 else (t_q[lo], x_q[lo], y_q[lo]))
-            assert (part.t_lo_q, part.t_hi_q) == (t_q[lo], t_q[hi - 1])
-            assert (part.x_lo_q, part.x_hi_q) == (x_q[lo:hi].min(), x_q[lo:hi].max())
-            assert (part.y_lo_q, part.y_hi_q) == (y_q[lo:hi].min(), y_q[lo:hi].max())
-            assert stop == (parts[k + 1].offset if k + 1 < len(parts) else end)
+            assert prev == ((0, 0, 0) if k == 0 else (t_q[lo], x_q[lo], y_q[lo]))
+            assert parts.lo[k].tolist() == [t_q[lo], x_q[lo:hi].min(), y_q[lo:hi].min()]
+            assert parts.hi[k].tolist() == [t_q[hi - 1], x_q[lo:hi].max(), y_q[lo:hi].max()]
+            assert stop == (parts.offsets[k + 1] if k + 1 < len(parts.offsets) else end)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -570,6 +570,47 @@ class TestServeArgumentValidation:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "wal").exists()
 
+    @pytest.mark.serve
+    @pytest.mark.parametrize("held", ["wal", "store"])
+    def test_second_server_on_a_locked_path_exits(self, held, tmp_path, capsys, monkeypatch):
+        """A server holds its WAL directory and store file from before
+        recovery for its life: a second ``repro serve`` on either exits
+        2 with one error line and leaves the first one's files as they
+        were."""
+        import asyncio
+
+        from repro.serve.server import TrajectoryServer
+        from repro.serve.wal import WalWriter
+        from repro.storage.store import TrajectoryStore
+        from repro.trajectory import Trajectory
+
+        wal, store_path = tmp_path / "wal", tmp_path / "fleet.rsto"
+        store = TrajectoryStore()
+        store.insert(Trajectory.from_points([(0.0, 0.0, 0.0), (1.0, 5.0, 5.0)], "a"))
+        store.save(store_path, durable=False)
+        if held == "wal":
+            owner = WalWriter(wal, durable=False)
+            owner.stage_open("live", "opw-tr:epsilon=10")
+            owner.commit_sync()
+        else:
+            owner = TrajectoryServer(store_path=store_path, durable=False)
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        # Were the path not held, this would build the server and return
+        # 0 instead of serving.
+        monkeypatch.setattr(asyncio, "run", lambda main: main.close())
+        code = main(["serve", "--port", "0", "--store", str(store_path), "--wal", str(wal)])
+        captured = capsys.readouterr()
+        owner.close()
+        assert code == 2
+        assert "serving on" not in captured.out
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "in use by another" in captured.err
+        after = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        assert {path: data for path, data in after.items() if path in before} == before
+        # At most the store's empty lock file is new; the WAL directory is as it was.
+        assert [path.name for path in set(after) - set(before)] in ([], ["fleet.rsto.lock"])
+        assert not after.get(tmp_path / "fleet.rsto.lock")
+
     def test_valid_values_parse(self):
         from repro.cli import build_parser
 
