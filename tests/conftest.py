@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+import repro.storage.store as store_module
 from repro.datagen import TrajectoryGenerator, URBAN
 from repro.streaming.budget import _BudgetBuffer
 from repro.trajectory import Trajectory
@@ -58,6 +59,28 @@ def pytest_addoption(parser: pytest.Parser) -> None:
 def regen_golden(request: pytest.FixtureRequest) -> bool:
     """True when the run should regenerate golden files, not check them."""
     return bool(request.config.getoption("--regen-golden"))
+
+
+@pytest.fixture
+def summarized(monkeypatch: pytest.MonkeyPatch) -> list[bytes]:
+    """The blobs a :class:`~repro.storage.store.TrajectoryStore`
+    summarizes from here on, in call order.
+
+    Wraps the store's ``summarize_blob``: a summary a footer or a merge
+    supplied is served from the partition columns and adds nothing; one
+    built at insert, or on demand for a record that arrived without one,
+    adds its blob. Tests clear the list after building their reference
+    stores.
+    """
+    blobs: list[bytes] = []
+    summarize_blob = store_module.summarize_blob
+
+    def counting(blob, *args):
+        blobs.append(blob)
+        return summarize_blob(blob, *args)
+
+    monkeypatch.setattr(store_module, "summarize_blob", counting)
+    return blobs
 
 
 class EvictionRecorder:

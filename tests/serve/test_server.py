@@ -18,6 +18,7 @@ import pytest
 from repro.core.registry import make_compressor
 from repro.exceptions import ServeError
 from repro.serve.protocol import MAX_LINE_BYTES, encode_message
+from repro.serve.server import TrajectoryServer
 from repro.storage.store import TrajectoryStore
 from repro.types import Fix
 
@@ -298,6 +299,20 @@ class TestPersistenceAndStats:
         assert stats["connections_opened"] >= 1
         assert stats["uptime_s"] >= 0.0
         assert stats["append_latency_ms"]["count"] > 0
+
+
+class TestLocks:
+    def test_a_server_that_fails_to_open_releases_its_locks(self, tmp_path):
+        """A setting the session manager refuses is found after both the
+        store and the WAL locks are taken: the failed server releases
+        them, even while its exception is still held, so a retry on the
+        same paths opens."""
+        paths = {"store_path": tmp_path / "fleet.rsto", "wal_dir": tmp_path / "wal"}
+        with pytest.raises(ValueError, match="max_sessions") as failure:
+            TrajectoryServer(**paths, max_sessions=0, durable=False)
+        retry = TrajectoryServer(**paths, durable=False)
+        assert failure.value is not None
+        retry.close()
 
 
 class TestStatsObservability:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ObjectNotFoundError
 from repro.geometry.bbox import BBox
+from repro.query.summaries import build_summary
 from repro.storage.store import TrajectoryStore
 from repro.trajectory import Trajectory
 
@@ -144,3 +145,70 @@ class TestRandomizedChurn:
             elif key in store:
                 store.remove(key)
             _assert_consistent(store)
+
+
+def _walk(rng: np.random.Generator, object_id: str, start: float, n: int) -> Trajectory:
+    """A random walk of ``n`` fixes after time ``start``, in a 5 km square."""
+    t = start + np.cumsum(rng.uniform(5.0, 15.0, n))
+    xy = rng.uniform(0.0, 5_000.0, 2) + np.cumsum(rng.normal(0.0, 50.0, (n, 2)), axis=0)
+    return Trajectory(t, xy, object_id)
+
+
+def _assert_matches_a_fresh_store(store: TrajectoryStore, rng: np.random.Generator,
+                                  tmp_path) -> None:
+    """Every summary is its blob's, and queries and the saved file equal
+    those of a store built afresh from the same blobs."""
+    fresh = TrajectoryStore(summary_partition_points=store.summary_config.partition_points)
+    for key in store.object_ids():
+        fresh.adopt_record(store.record(key))
+    for key in store.object_ids():
+        assert store.record(key) == fresh.record(key)
+        assert store.summary(key) == build_summary(
+            key, store.record(key).blob, store.summary_config
+        )
+    keys = store.object_ids()
+    for _ in range(20):
+        # Anchored on a stored record, so that most queries answer.
+        anchor = store.record(keys[int(rng.integers(len(keys)))])
+        t0 = float(rng.uniform(anchor.start_time, anchor.end_time))
+        t1 = t0 + float(rng.uniform(0.0, 300.0))
+        x, y = anchor.bbox.center
+        box = BBox(x - 400.0, y - 400.0, x + 400.0, y + 400.0)
+        assert store.candidates(t0, t1, box) == fresh.candidates(t0, t1, box)
+        for mode in ("stored", "possibly", "definitely"):
+            assert store.query_bbox(box, t0, t1, mode) == fresh.query_bbox(box, t0, t1, mode)
+        assert store.nearest(x, y, t0, k=3) == fresh.nearest(x, y, t0, k=3)
+    store.save(tmp_path / "churned.rsto", durable=False)
+    fresh.save(tmp_path / "fresh.rsto", durable=False)
+    assert (tmp_path / "churned.rsto").read_bytes() == (tmp_path / "fresh.rsto").read_bytes()
+
+
+class TestPartitionCompaction:
+    def test_churn_past_the_compaction_threshold_keeps_every_summary(self, tmp_path):
+        """Replaced and removed records leave their summary partition
+        rows behind until those outnumber the live ones (and 1,024); the
+        store then compacts its partition columns and moves every
+        record's pointer into them. Churn a store through several
+        compactions and, after each, check it against a fresh store."""
+        rng = np.random.default_rng(7)
+        store = TrajectoryStore(summary_partition_points=4)
+        keys = [f"k{i:02d}" for i in range(40)]
+        compactions, dead = 0, 0
+        for _ in range(1_500):
+            key = keys[int(rng.integers(len(keys)))]
+            roll = rng.random()
+            if key in store and roll < 0.15:
+                store.remove(key)
+            elif key in store and roll < 0.3:
+                store.append(key, _walk(rng, key, store.record(key).end_time,
+                                        int(rng.integers(1, 6))))
+            else:
+                store.insert(_walk(rng, key, float(rng.uniform(0.0, 4_000.0)),
+                                   int(rng.integers(2, 20))), replace=True)
+            # Garbage rows only accumulate, until a compaction drops them.
+            if store._dead_parts < dead:
+                compactions += 1
+                _assert_matches_a_fresh_store(store, rng, tmp_path)
+            dead = store._dead_parts
+        assert compactions >= 2
+        _assert_matches_a_fresh_store(store, rng, tmp_path)
