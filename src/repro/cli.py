@@ -580,7 +580,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
         pool,
         host=args.host,
         port=args.port,
-        store_path=args.store,
         shed_inflight=args.shed_inflight,
     )
 

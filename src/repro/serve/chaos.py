@@ -560,7 +560,7 @@ async def _scenario_worker_kill(base: Path, seed: int, n_fixes: int) -> dict:
         idle_timeout_s=3600.0,
         sweep_interval_s=3600.0,
     )
-    router = ServeRouter(pool, store_path=store_path)
+    router = ServeRouter(pool)
     await router.start()
     owners = pick_shard_sessions(pool, per_shard=2)
     sessions = {

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 try:  # optional accelerator; the stdlib path is always available
     import orjson as _orjson
@@ -49,6 +49,10 @@ __all__ = [
     "parse_fixes",
     "parse_flat_fixes",
     "render_fixes",
+    "STATS_COUNTERS",
+    "STATS_GAUGES",
+    "SERVER_ONLY_STATS",
+    "stats_fields",
 ]
 
 #: Version announced in ``stats`` responses; bump on wire changes.
@@ -84,6 +88,23 @@ ERROR_CODES = (
     "timeout",         # client-side only: no response within the deadline
     "internal",
 )
+
+#: Registry counters and gauges the ``stats`` verb reports as top-level
+#: fields under their own names (:func:`stats_fields`); a server declares
+#: them when it is built, so its export lists them from the start.
+STATS_COUNTERS = (
+    "sessions_opened", "sessions_rejected", "sessions_evicted", "sessions_flushed",
+    "sessions_recovered", "sessions_discarded", "sessions_renegotiated",
+    "sessions_admitted_degraded", "budget_renegotiations",
+    "fixes_in", "fixes_retained", "fixes_evicted", "fixes_flushed",
+    "queries", "query_decoded_records", "query_decoded_bytes", "requests_failed",
+    "connections_opened", "connections_closed",
+)
+STATS_GAUGES = ("queue_depth", "query_prune_ratio")
+
+#: What a fleet leaves out: its connections are the router's own (the
+#: ``router`` section), and a prune ratio does not add up across shards.
+SERVER_ONLY_STATS = ("connections_opened", "connections_closed", "query_prune_ratio")
 
 
 def encode_message(message: dict) -> bytes:
@@ -256,3 +277,32 @@ def parse_flat_fixes(values: object) -> list[Fix]:
 def render_fixes(fixes: Iterable[Fix]) -> list[list[float]]:
     """Render fixes as wire triples (the inverse of :func:`parse_fix`)."""
     return [[fix.t, fix.x, fix.y] for fix in fixes]
+
+
+def stats_fields(export: Mapping[str, Mapping], *, fleet: bool = False) -> dict:
+    """The top-level ``stats`` fields a registry export holds.
+
+    Every :data:`STATS_COUNTERS` counter and :data:`STATS_GAUGES` gauge
+    under its own name (0 when the export lacks it), and
+    ``fixes_in_by_algorithm`` / ``fixes_evicted_by_algorithm`` from the
+    ``fixes_in.<algorithm>`` / ``fixes_evicted.<algorithm>`` counters.
+    ``export`` is a :meth:`repro.obs.Registry.to_dict` export or, with
+    ``fleet`` (which leaves out the :data:`SERVER_ONLY_STATS`), the
+    :func:`repro.obs.merge_shard_metrics` of a fleet's shards, whose
+    plain names hold the fleet-wide sums.
+    """
+    counters = export.get("counters", {})
+    gauges = export.get("gauges", {})
+    fields = {name: counters.get(name, 0) for name in STATS_COUNTERS}
+    fields.update((name, gauges.get(name, 0.0)) for name in STATS_GAUGES)
+    for family in ("fixes_in", "fixes_evicted"):
+        prefix = f"{family}."
+        fields[f"{family}_by_algorithm"] = {
+            name[len(prefix):]: value
+            for name, value in counters.items()
+            if name.startswith(prefix)
+        }
+    if fleet:
+        for name in SERVER_ONLY_STATS:
+            del fields[name]
+    return fields

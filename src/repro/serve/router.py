@@ -46,6 +46,7 @@ from repro.serve.protocol import (
     encode_message,
     error_response,
     ok_response,
+    stats_fields,
 )
 
 __all__ = ["ServeRouter", "merge_partition_stores"]
@@ -120,8 +121,6 @@ class ServeRouter:
     Args:
         pool: the (already constructed, not yet started) worker pool.
         host, port: the router's own bind address (``port=0`` = pick).
-        store_path: where :meth:`drain` writes the merged store file
-            (``None`` = the pool has no persistence configured).
         shed_inflight: per-shard inflight ceiling; requests for a shard
             at the ceiling are refused with code ``rejected``. ``0``
             disables shedding.
@@ -136,7 +135,6 @@ class ServeRouter:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        store_path: "Path | str | None" = None,
         shed_inflight: int = 256,
         acquire_timeout_s: float = 15.0,
         metrics: "Registry | None" = None,
@@ -144,7 +142,6 @@ class ServeRouter:
         self.pool = pool
         self.host = host
         self.port = int(port)
-        self.store_path = None if store_path is None else Path(store_path)
         self.shed_inflight = int(shed_inflight)
         self.acquire_timeout_s = float(acquire_timeout_s)
         self.metrics = metrics if metrics is not None else Registry()
@@ -188,7 +185,7 @@ class ServeRouter:
         fleet is going away; durable clients will find nobody to redial
         and surface that honestly), SIGTERM every worker — each flushes
         its sessions and persists its partition, PR-7 semantics — and
-        finally merge the partition files into one store file.
+        finally merge the partition files into the pool's store file.
 
         Returns:
             ``{"workers": {...exit codes...}, "merged": {...} | None}``.
@@ -197,11 +194,11 @@ class ServeRouter:
         await self._close_frontend()
         result = await self.pool.drain()
         merged = None
-        if self.store_path is not None:
+        if self.pool.store_path is not None:
             merged = await asyncio.to_thread(
                 merge_partition_stores,
                 self.pool,
-                self.store_path,
+                self.pool.store_path,
                 replace=self.pool.replace,
             )
         return {"workers": result["exit_codes"], "merged": merged}
@@ -629,84 +626,61 @@ class ServeRouter:
     ) -> dict:
         """The fleet-wide ``stats`` payload.
 
-        Sums the workers' lifecycle counters into the same top-level
-        fields a single server reports (so existing dashboards and the
-        durable client's heuristics keep reading them), keeps each
-        worker's full payload under ``shards``, and merges the metric
-        registries with per-shard labels. ``wal`` is the fleet view:
-        ``failed`` iff *any* shard's WAL failed — the conservative
-        answer for the client's lost-ack heuristic.
+        Merges the workers' metric registries with per-shard labels
+        (:func:`repro.obs.merge_shard_metrics`) and reads the top-level
+        fields a single server reports from the merged registry
+        (:func:`~repro.serve.protocol.stats_fields`), so each is the
+        fleet-wide sum and existing dashboards and the durable client's
+        heuristics keep reading them. ``live_sessions`` and
+        ``stored_objects``, which no registry holds, are summed from the
+        payloads; each worker's full payload stays under ``shards``.
+        ``wal`` is the fleet view: ``failed`` iff *any* shard's WAL
+        failed — the conservative answer for the client's lost-ack
+        heuristic.
         """
         shard_stats = shard_stats or {}
         unavailable = unavailable or []
-        summed = {}
-        for field in (
-            "live_sessions",
-            "stored_objects",
-            "sessions_opened",
-            "sessions_rejected",
-            "sessions_evicted",
-            "sessions_flushed",
-            "sessions_recovered",
-            "sessions_discarded",
-            "sessions_renegotiated",
-            "sessions_admitted_degraded",
-            "budget_renegotiations",
-            "fixes_in",
-            "fixes_retained",
-            "fixes_evicted",
-            "fixes_flushed",
-            "queries",
-            "query_decoded_records",
-            "query_decoded_bytes",
-            "queue_depth",
-            "requests_failed",
-        ):
-            summed[field] = sum(
-                int(payload.get(field, 0)) for payload in shard_stats.values()
-            )
-        for field in ("fixes_in_by_algorithm", "fixes_evicted_by_algorithm"):
-            merged: dict[str, int] = {}
-            for payload in shard_stats.values():
-                per_shard = payload.get(field)
-                if isinstance(per_shard, dict):
-                    for algorithm, count in per_shard.items():
-                        merged[algorithm] = merged.get(algorithm, 0) + int(count)
-            summed[field] = merged
         wals = {
             name: payload["wal"]
             for name, payload in shard_stats.items()
             if isinstance(payload.get("wal"), dict)
         }
+        # Built before the export below, which then lists what it reads.
+        router = {
+            "connections_live": self.metrics.gauge("connections_live").value,
+            "connections_opened": self.metrics.counter("connections_opened").value,
+            "requests_proxied": self.metrics.counter("requests_proxied").value,
+            "requests_shed": self.metrics.counter("requests_shed").value,
+            "upstream_failures": self.metrics.counter("upstream_failures").value,
+            "shed_inflight": self.shed_inflight,
+            "inflight": {
+                handle.name: self.metrics.gauge(
+                    f"shard_inflight.{handle.name}"
+                ).value
+                for handle in self.pool.handles
+            },
+        }
+        metrics = merge_shard_metrics(
+            {
+                name: payload.get("metrics", {})
+                for name, payload in shard_stats.items()
+            },
+            extra=self.metrics.to_dict(),
+        )
         payload = {
             "protocol_version": PROTOCOL_VERSION,
             "role": "router",
             "draining": self._draining,
-            **summed,
+            **{
+                field: sum(int(shard.get(field, 0)) for shard in shard_stats.values())
+                for field in ("live_sessions", "stored_objects")
+            },
+            **stats_fields(metrics, fleet=True),
             "shards": shard_stats,
             "shards_unavailable": unavailable,
             "pool": self.pool.stats(),
-            "router": {
-                "connections_live": self.metrics.gauge("connections_live").value,
-                "connections_opened": self.metrics.counter("connections_opened").value,
-                "requests_proxied": self.metrics.counter("requests_proxied").value,
-                "requests_shed": self.metrics.counter("requests_shed").value,
-                "upstream_failures": self.metrics.counter("upstream_failures").value,
-                "shed_inflight": self.shed_inflight,
-                "inflight": {
-                    handle.name: self.metrics.gauge(
-                        f"shard_inflight.{handle.name}"
-                    ).value
-                    for handle in self.pool.handles
-                },
-            },
-            "metrics": merge_shard_metrics(
-                {
-                    name: payload.get("metrics", {})
-                    for name, payload in shard_stats.items()
-                },
-                extra=self.metrics.to_dict(),
-            ),
+            "router": router,
+            "metrics": metrics,
         }
         if wals or self.pool.wal_base is not None:
             payload["wal"] = {

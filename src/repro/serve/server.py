@@ -782,7 +782,8 @@ class TrajectoryServer:
         )
 
     def stats(self) -> dict:
-        """The ``stats`` verb's payload: manager counters + server view."""
+        """The ``stats`` verb's payload: the manager's fields plus the
+        server's own state, its append latency and the registry export."""
         payload = self.manager.stats()
         payload.update(
             protocol_version=PROTOCOL_VERSION,
@@ -794,16 +795,6 @@ class TrajectoryServer:
                 if self._started_at is None
                 else max(0.0, self._clock() - self._started_at)
             ),
-            connections_opened=self.metrics.counter("connections_opened").value,
-            connections_closed=self.metrics.counter("connections_closed").value,
-            requests_failed=self.metrics.counter("requests_failed").value,
-            queries=self.metrics.counter("queries").value,
-            query_decoded_records=self.metrics.counter(
-                "query_decoded_records"
-            ).value,
-            query_decoded_bytes=self.metrics.counter("query_decoded_bytes").value,
-            query_prune_ratio=self.metrics.gauge("query_prune_ratio").value,
-            queue_depth=self.metrics.gauge("queue_depth").value,
             append_latency_ms=self._latency.to_dict(),
             metrics=self.metrics.to_dict(),
         )

@@ -39,6 +39,7 @@ import numpy as np
 from repro.exceptions import ReproError, ServeError, StorageError, StreamError
 from repro.geometry.bbox import BBox
 from repro.obs import Registry, span
+from repro.serve.protocol import STATS_COUNTERS, STATS_GAUGES, stats_fields
 from repro.serve.wal import WalWriter
 from repro.storage.store import StoredRecord, TrajectoryStore
 from repro.streaming.base import Eviction, OnlineCompressor, partition_events
@@ -288,23 +289,6 @@ class Session:
         xy = np.vstack([base.xy, [[fix.x, fix.y] for fix in self.pending]])
         return Trajectory(t, xy, self.object_id, _validated=True)
 
-    def summary(self, now: float) -> dict:
-        """JSON-ready snapshot for diagnostics."""
-        return {
-            "session": self.object_id,
-            "spec": self.spec,
-            "algorithm": self.algorithm,
-            "fixes_in": self.n_fixes_in,
-            "retained": self.n_retained,
-            "evicted": self.n_evicted,
-            "budget": self.budget,
-            "budget_renegotiations": self.budget_renegotiations,
-            "state_size": self.compressor.state_size,
-            "idle_s": max(0.0, now - self.last_active),
-            "last_seq": self.last_seq,
-            "recovered": self.recovered,
-        }
-
 
 class SessionManager:
     """Live-session registry with admission control and LRU eviction.
@@ -376,6 +360,11 @@ class SessionManager:
         )
         self.degrade_budget_factor = float(degrade_budget_factor)
         self.metrics = metrics if metrics is not None else Registry()
+        # Declared up front: the export lists what ``stats`` reports.
+        for name in STATS_COUNTERS:
+            self.metrics.counter(name)
+        for name in STATS_GAUGES:
+            self.metrics.gauge(name)
         self._clock = clock
         # Ordered least-recently-active first: append moves to the end,
         # so eviction scans from the front and stops at the first keeper.
@@ -841,45 +830,18 @@ class SessionManager:
     def stats(self) -> dict:
         """JSON-ready counters answering the ``stats`` verb.
 
-        Reports live occupancy plus every lifecycle counter (opened,
-        rejected, evicted, recovered, flushed), fix throughput, the
-        bounded failure diagnostics, and — when a WAL is configured —
-        its commit/segment counters.
+        The registry's top-level fields
+        (:func:`~repro.serve.protocol.stats_fields`) plus what the
+        registry does not hold: live occupancy and limits, stored
+        objects, the bounded failure diagnostics and, when a WAL is
+        configured, its commit/segment counters.
         """
-        counter = self.metrics.counter
-        exported = self.metrics.to_dict()["counters"] if self.metrics.enabled else {}
-        by_algorithm = {
-            name.split(".", 1)[1]: value
-            for name, value in exported.items()
-            if name.startswith("fixes_in.")
-        }
-        evicted_by_algorithm = {
-            name.split(".", 1)[1]: value
-            for name, value in exported.items()
-            if name.startswith("fixes_evicted.")
-        }
         stats = {
             "live_sessions": len(self._sessions),
             "max_sessions": self.max_sessions,
             "idle_timeout_s": self.idle_timeout_s,
             "stored_objects": len(self.store),
-            "sessions_opened": counter("sessions_opened").value,
-            "sessions_rejected": counter("sessions_rejected").value,
-            "sessions_evicted": counter("sessions_evicted").value,
-            "sessions_flushed": counter("sessions_flushed").value,
-            "sessions_recovered": counter("sessions_recovered").value,
-            "sessions_discarded": counter("sessions_discarded").value,
-            "sessions_renegotiated": counter("sessions_renegotiated").value,
-            "sessions_admitted_degraded": counter(
-                "sessions_admitted_degraded"
-            ).value,
-            "budget_renegotiations": counter("budget_renegotiations").value,
-            "fixes_in": counter("fixes_in").value,
-            "fixes_retained": counter("fixes_retained").value,
-            "fixes_evicted": counter("fixes_evicted").value,
-            "fixes_flushed": counter("fixes_flushed").value,
-            "fixes_in_by_algorithm": by_algorithm,
-            "fixes_evicted_by_algorithm": evicted_by_algorithm,
+            **stats_fields(self.metrics.to_dict()),
             "last_evict_failures": list(self.last_evict_failures),
             "last_recovery_failures": list(self.last_recovery_failures),
         }

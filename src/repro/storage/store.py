@@ -328,7 +328,8 @@ class TrajectoryStore:
                 any numeric value.
 
         Raises:
-            StorageError: missing id, or duplicate id without ``replace``.
+            StorageError: missing id, duplicate id without ``replace``,
+                or a margin that is negative, NaN or infinite.
         """
         key = object_id or traj.object_id
         if not key:
@@ -341,7 +342,7 @@ class TrajectoryStore:
         if sync_error_bound_m == "auto":
             upstream_bound = chosen.sync_error_bound() if chosen is not None else 0.0
         else:
-            upstream_bound = sync_error_bound_m  # type: ignore[assignment]
+            upstream_bound = _checked_margin(sync_error_bound_m, key)  # type: ignore[arg-type]
         bound = self._total_error_bound(upstream_bound)
         blob = encode_trajectory(
             stored, self.time_resolution_s, self.coord_resolution_m
@@ -426,15 +427,15 @@ class TrajectoryStore:
         (:meth:`merge_from` moves a whole store's columns instead.)
 
         Raises:
-            StorageError: duplicate id without ``replace``.
+            StorageError: duplicate id without ``replace``, or a margin
+                that is negative, NaN or infinite.
             CorruptRecordError: the blob fails its codec checksum.
         """
         key = record.object_id
         if key in self._row and not replace:
             raise StorageError(f"object id {key!r} already stored (use replace=True)")
-        self._register_one(
-            key, record.blob, record.n_raw_points, record.sync_error_bound_m
-        )
+        bound = _checked_margin(record.sync_error_bound_m, key)
+        self._register_one(key, record.blob, record.n_raw_points, bound)
 
     def _register_one(
         self, key: str, blob: bytes, n_raw: int, bound: float | None
@@ -901,19 +902,20 @@ class TrajectoryStore:
             path: a store file of version 2 (legacy, no record
                 checksums), 3 (per-record CRC-32) or 4 (version 3 plus
                 the summary footer).
-            verify: what to do with a record whose checksum or blob fails
-                verification: ``"raise"`` (default) aborts the load;
-                ``"skip"`` drops the record, records the reason in
-                :attr:`load_failures`, and keeps loading. File-level
-                framing damage (truncation mid-record) always stops the
-                load at that point — under ``"skip"`` the remainder is
-                recorded as one failure, under ``"raise"`` it raises.
+            verify: what to do with a record whose checksum, margin
+                (negative or infinite) or blob fails verification:
+                ``"raise"`` (default) aborts the load; ``"skip"`` drops
+                the record, records the reason in :attr:`load_failures`,
+                and keeps loading. File-level framing damage (truncation
+                mid-record) always stops the load at that point — under
+                ``"skip"`` the remainder is recorded as one failure,
+                under ``"raise"`` it raises.
             **store_kwargs: forwarded to the constructor.
 
         Raises:
             CorruptRecordError: a record failed its checksum
                 (``verify="raise"`` only).
-            StorageError: on malformed files.
+            StorageError: on malformed files and records.
         """
         if verify not in ("raise", "skip"):
             raise ValueError(f"verify must be 'raise' or 'skip', got {verify!r}")
@@ -974,6 +976,9 @@ class TrajectoryStore:
                             f"{actual_crc:#010x}) — the file was altered "
                             f"after write"
                         )
+                if bound_raw < 0 or math.isinf(bound_raw):
+                    raise StorageError(f"{path}: record {index}: error margin "
+                                       f"{bound_raw!r} is not a margin")
                 blob = data[offset + 16 : end]
                 layout = blob_layout(blob)
             except ReproError as exc:
@@ -1033,6 +1038,16 @@ class TrajectoryStore:
         self._n_parts = len(table.parts)
         self._dead_parts = 0
         self._retire_parts(int(table.count[~found].sum()))
+
+
+def _checked_margin(bound: float | None, key: str) -> float | None:
+    """``bound``, refused with a :class:`StorageError` unless it is ``None``
+    or a margin: a negative, NaN or infinite one breaks every ``possibly``
+    query once stored."""
+    if bound is not None and not (math.isfinite(bound) and bound >= 0.0):
+        raise StorageError(f"error margin {bound!r} of {key!r} is not a margin: "
+                           f"give a finite, non-negative number or None")
+    return bound
 
 
 def effective_query_box(

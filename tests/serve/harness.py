@@ -101,11 +101,11 @@ async def running_router(tmp_path: Path, workers: int = 2, **kwargs):
     router_kwargs = {k: kwargs.pop(k) for k in list(kwargs) if k in router_keys}
     kwargs.setdefault("idle_timeout_s", 3600.0)
     kwargs.setdefault("sweep_interval_s", 3600.0)
-    store_path = tmp_path / "fleet.rsto"
     pool = WorkerPool(
-        workers, wal_dir=tmp_path / "wal", store_path=store_path, **kwargs
+        workers, wal_dir=tmp_path / "wal", store_path=tmp_path / "fleet.rsto",
+        **kwargs
     )
-    router = ServeRouter(pool, store_path=store_path, **router_kwargs)
+    router = ServeRouter(pool, **router_kwargs)
     await router.start()
     try:
         yield router

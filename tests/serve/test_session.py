@@ -241,15 +241,6 @@ class TestOnlineAlgorithms:
         # The compressor's epsilon plus the codec's quantization slack.
         assert 30.0 <= record.sync_error_bound_m < 30.1
 
-    def test_summary_reports_algorithm_and_state(self, clock):
-        manager = make_manager(clock)
-        session = manager.open("s", "operb:epsilon=30")
-        manager.append("s", Fix(0.0, 0.0, 0.0))
-        manager.append("s", Fix(1.0, 5.0, 0.0))
-        summary = session.summary(clock.now)
-        assert summary["algorithm"] == "operb"
-        assert 0 < summary["state_size"] <= 10
-
     def test_stats_break_down_by_algorithm(self, clock):
         manager = make_manager(clock)
         manager.open("a", "operb:epsilon=30")
