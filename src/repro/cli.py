@@ -50,7 +50,7 @@ __all__ = ["main", "build_parser"]
 
 # Each command imports the modules it runs, so that a serve router or
 # worker never loads the pipeline, the error metrics, the file formats,
-# ``repro.datagen`` (which pulls in networkx) or ``repro.experiments``.
+# the synthetic-data generator ``repro.datagen`` or ``repro.experiments``.
 # The parser's choices are spelled out here instead; tests pin them to
 # their sources.
 #: The generator's movement profiles (``repro.datagen.profiles``).

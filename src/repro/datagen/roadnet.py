@@ -13,13 +13,16 @@ algorithms see realistic near-straight-but-not-straight runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import DataGenError
 
-__all__ = ["SPEED_LIMITS_MS", "RoadNetwork"]
+__all__ = ["SPEED_LIMITS_MS", "Road", "RoadNetwork"]
+
+#: An intersection, ``(row, col)`` on the lattice.
+Node = tuple[int, int]
 
 #: Speed limits per road class, metres/second (50, 70, 100 km/h).
 SPEED_LIMITS_MS: dict[str, float] = {
@@ -29,21 +32,36 @@ SPEED_LIMITS_MS: dict[str, float] = {
 }
 
 
+class Road(NamedTuple):
+    """The street between two neighbouring intersections, either way.
+
+    ``length`` is in metres, ``speed_limit`` in m/s, ``road_class`` one
+    of :data:`SPEED_LIMITS_MS`'s keys and ``travel_time`` the seconds it
+    takes at the limit (the routing weight).
+    """
+
+    length: float
+    speed_limit: float
+    road_class: str
+    travel_time: float
+
+
 @dataclass
 class RoadNetwork:
     """A planar road graph with positions and speed limits.
 
-    Nodes are ``(row, col)`` tuples; node attribute ``pos`` is an
-    ``(x, y)`` position in metres, edge attributes are ``length``
-    (metres), ``speed_limit`` (m/s), ``road_class`` and ``travel_time``
-    (seconds, the routing weight).
+    Nodes are ``(row, col)`` tuples at ``(x, y)`` positions in metres.
+    ``roads[u][v]`` is the :class:`Road` joining ``u`` to its neighbour
+    ``v`` (the same object as ``roads[v][u]``); each node lists its
+    neighbours in the order their roads were laid, which fixes how the
+    route planner breaks ties between equally fast paths.
     """
 
-    graph: nx.Graph
+    roads: dict[Node, dict[Node, Road]] = field(repr=False)
     spacing_m: float
     rows: int
     cols: int
-    _positions: dict[tuple[int, int], np.ndarray] = field(repr=False, default_factory=dict)
+    _positions: dict[Node, np.ndarray] = field(repr=False, default_factory=dict)
 
     @classmethod
     def grid(
@@ -76,14 +94,13 @@ class RoadNetwork:
             raise DataGenError(f"spacing must be positive, got {spacing_m}")
         if not 0 <= jitter_frac < 0.5:
             raise DataGenError(f"jitter_frac must be in [0, 0.5), got {jitter_frac}")
-        graph = nx.Graph()
-        positions: dict[tuple[int, int], np.ndarray] = {}
+        roads: dict[Node, dict[Node, Road]] = {}
+        positions: dict[Node, np.ndarray] = {}
         for r in range(rows):
             for c in range(cols):
                 jitter = rng.uniform(-jitter_frac, jitter_frac, size=2) * spacing_m
-                pos = np.array([c * spacing_m, r * spacing_m]) + jitter
-                positions[(r, c)] = pos
-                graph.add_node((r, c), pos=pos)
+                positions[(r, c)] = np.array([c * spacing_m, r * spacing_m]) + jitter
+                roads[(r, c)] = {}
 
         def line_class(index: int, is_row: bool) -> str:
             if is_row and index in highway_rows:
@@ -95,37 +112,32 @@ class RoadNetwork:
         for r in range(rows):
             row_class = line_class(r, is_row=True)
             for c in range(cols - 1):
-                cls._add_edge(graph, positions, (r, c), (r, c + 1), row_class)
+                cls._lay_road(roads, positions, (r, c), (r, c + 1), row_class)
         for c in range(cols):
             col_class = line_class(c, is_row=False)
             for r in range(rows - 1):
-                cls._add_edge(graph, positions, (r, c), (r + 1, c), col_class)
-        return cls(graph, spacing_m, rows, cols, positions)
+                cls._lay_road(roads, positions, (r, c), (r + 1, c), col_class)
+        return cls(roads, spacing_m, rows, cols, positions)
 
     @staticmethod
-    def _add_edge(
-        graph: nx.Graph,
-        positions: dict[tuple[int, int], np.ndarray],
-        u: tuple[int, int],
-        v: tuple[int, int],
+    def _lay_road(
+        roads: dict[Node, dict[Node, Road]],
+        positions: dict[Node, np.ndarray],
+        u: Node,
+        v: Node,
         road_class: str,
     ) -> None:
         length = float(np.hypot(*(positions[u] - positions[v])))
         limit = SPEED_LIMITS_MS[road_class]
-        graph.add_edge(
-            u,
-            v,
-            length=length,
-            speed_limit=limit,
-            road_class=road_class,
-            travel_time=length / limit,
-        )
+        road = Road(length, limit, road_class, length / limit)
+        roads[u][v] = road
+        roads[v][u] = road
 
-    def node_position(self, node: tuple[int, int]) -> np.ndarray:
+    def node_position(self, node: Node) -> np.ndarray:
         """Position of a node in metres, shape ``(2,)``."""
         return self._positions[node]
 
-    def random_node(self, rng: np.random.Generator) -> tuple[int, int]:
+    def random_node(self, rng: np.random.Generator) -> Node:
         """A uniformly random intersection."""
         r = int(rng.integers(0, self.rows))
         c = int(rng.integers(0, self.cols))
@@ -133,17 +145,17 @@ class RoadNetwork:
 
     def nodes_near_distance(
         self,
-        origin: tuple[int, int],
+        origin: Node,
         target_m: float,
         tolerance_m: float,
-    ) -> list[tuple[int, int]]:
+    ) -> list[Node]:
         """Nodes whose straight-line distance to ``origin`` is near a target.
 
         Used to pick route destinations that yield the desired net
         displacement (Table 2's displacement statistic).
         """
         origin_pos = self._positions[origin]
-        out: list[tuple[int, int]] = []
+        out: list[Node] = []
         for node, pos in self._positions.items():
             if abs(float(np.hypot(*(pos - origin_pos))) - target_m) <= tolerance_m:
                 out.append(node)

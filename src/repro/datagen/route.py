@@ -11,11 +11,12 @@ characteristic shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from itertools import count
 
-import networkx as nx
 import numpy as np
 
-from repro.datagen.roadnet import RoadNetwork
+from repro.datagen.roadnet import Node, Road, RoadNetwork
 from repro.exceptions import DataGenError
 
 __all__ = ["Route", "plan_route", "random_route"]
@@ -93,8 +94,8 @@ class Route:
 
 def plan_route(
     network: RoadNetwork,
-    origin: tuple[int, int],
-    destination: tuple[int, int],
+    origin: Node,
+    destination: Node,
 ) -> Route:
     """Travel-time shortest path between two intersections.
 
@@ -103,20 +104,72 @@ def plan_route(
     """
     if origin == destination:
         raise DataGenError("route origin and destination coincide")
-    try:
-        nodes = nx.shortest_path(
-            network.graph, origin, destination, weight="travel_time"
-        )
-    except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
-        raise DataGenError(f"no route from {origin} to {destination}") from exc
+    if origin not in network.roads or destination not in network.roads:
+        raise DataGenError(f"no route from {origin} to {destination}")
+    nodes = _fastest_path(network.roads, origin, destination)
     points = np.array([network.node_position(node) for node in nodes])
     limits = np.array(
-        [
-            network.graph.edges[u, v]["speed_limit"]
-            for u, v in zip(nodes, nodes[1:])
-        ]
+        [network.roads[u][v].speed_limit for u, v in zip(nodes, nodes[1:])]
     )
     return Route(points, limits)
+
+
+def _fastest_path(
+    roads: dict[Node, dict[Node, Road]], origin: Node, destination: Node
+) -> list[Node]:
+    """The least-travel-time node sequence from ``origin`` to ``destination``.
+
+    Bidirectional Dijkstra, expanding the forward and the backward
+    search in turn. Among equally fast paths it picks the one networkx
+    3.6.1's ``bidirectional_dijkstra`` picks, which every generated trip
+    depends on: it has the same alternation, ``(time, counter, node)``
+    heap entries, neighbour order and meeting rule. The route oracle in
+    the tests pins that choice.
+
+    Raises:
+        DataGenError: when no path joins the two.
+    """
+    # Index 0 is the forward search from the origin, 1 the backward one.
+    done: tuple[dict[Node, float], dict[Node, float]] = ({}, {})
+    seen: tuple[dict[Node, float], dict[Node, float]] = (
+        {origin: 0.0},
+        {destination: 0.0},
+    )
+    preds: tuple[dict[Node, Node], dict[Node, Node]] = ({}, {})
+    order = count()
+    fringe = ([(0.0, next(order), origin)], [(0.0, next(order), destination)])
+    best: float | None = None
+    meet = origin
+    direction = 1
+    while fringe[0] and fringe[1]:
+        direction = 1 - direction
+        time_s, _, node = heappop(fringe[direction])
+        if node in done[direction]:
+            continue
+        done[direction][node] = time_s
+        if node in done[1 - direction]:
+            # Scanned from both ends: the best meeting seen is optimal.
+            path = [meet]
+            while path[-1] != origin:
+                path.append(preds[0][path[-1]])
+            path.reverse()
+            while path[-1] != destination:
+                path.append(preds[1][path[-1]])
+            return path
+        ahead, behind = seen[direction], seen[1 - direction]
+        for neighbour, road in roads[node].items():
+            if neighbour in done[direction]:
+                continue
+            reached = time_s + road.travel_time
+            if neighbour not in ahead or reached < ahead[neighbour]:
+                ahead[neighbour] = reached
+                heappush(fringe[direction], (reached, next(order), neighbour))
+                preds[direction][neighbour] = node
+                if neighbour in behind:
+                    total = reached + behind[neighbour]
+                    if best is None or total < best:
+                        best, meet = total, neighbour
+    raise DataGenError(f"no route from {origin} to {destination}")
 
 
 def _concatenate_routes(first: Route, second: Route) -> Route:
@@ -186,11 +239,11 @@ def random_route(
 def _pick_via_node(
     network: RoadNetwork,
     rng: np.random.Generator,
-    origin: tuple[int, int],
-    destination: tuple[int, int],
+    origin: Node,
+    destination: Node,
     straight_length_m: float,
     tolerance_m: float,
-) -> tuple[int, int] | None:
+) -> Node | None:
     """An intersection whose two straight legs sum to the target length.
 
     Geometrically: a point near the ellipse with foci at origin and
@@ -203,7 +256,7 @@ def _pick_via_node(
     direct = float(np.hypot(*(dest_pos - origin_pos)))
     if straight_length_m <= direct * 1.05:
         return None
-    best: tuple[int, int] | None = None
+    best: Node | None = None
     best_misfit = tolerance_m * 2.0
     # Sample a handful of random nodes rather than scanning all of them;
     # the lattice is dense enough that a few dozen draws find the ellipse.

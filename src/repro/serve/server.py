@@ -436,16 +436,17 @@ class TrajectoryServer:
             item = await queue.get()
             if item is _EOF:
                 return
-            if item is not _OVERSIZE:
-                depth.dec()
             if item is _OVERSIZE:
-                response = error_response(
-                    None,
-                    "bad-request",
-                    f"protocol line exceeds {MAX_LINE_BYTES} bytes; "
-                    f"closing connection",
+                response = self._counted(
+                    error_response(
+                        None,
+                        "bad-request",
+                        f"protocol line exceeds {MAX_LINE_BYTES} bytes; "
+                        f"closing connection",
+                    )
                 )
             else:
+                depth.dec()
                 response = self._handle_line(item)
             if self.wal is not None and self.wal.pending_records:
                 # Durability barrier: whatever this request staged must
@@ -461,13 +462,15 @@ class TrajectoryServer:
                     # prefix) and tell the client instead of acking.
                     for sid in self.wal.dirty_sessions():
                         self.manager.discard(sid)
-                    self.metrics.counter("requests_failed").inc()
-                    response = error_response(
+                    failure = error_response(
                         response.get("op"),
                         exc.code,
                         str(exc),
                         response.get("session"),
                     )
+                    # A refusal was counted when it was answered; an
+                    # acknowledgement turned into one counts now.
+                    response = self._counted(failure) if response["ok"] else failure
             if write_ok:
                 try:
                     writer.write(encode_message(response))
@@ -485,7 +488,23 @@ class TrajectoryServer:
     # Request dispatch (synchronous: one event-loop thread, no locks)
     # ------------------------------------------------------------------ #
 
+    def _counted(self, response: dict) -> dict:
+        """``response``, counted in ``requests_failed`` if it is ``ok: false``.
+
+        Every refusal the server sends passes here once: each answer of
+        :meth:`_handle_line`, the oversize-line reply, and the
+        ``wal-failure`` that replaces an acknowledgement the durability
+        barrier could not make durable.
+        """
+        if not response["ok"]:
+            self.metrics.counter("requests_failed").inc()
+        return response
+
     def _handle_line(self, line: bytes) -> dict:
+        """Answer one request line (a refusal counts in ``requests_failed``)."""
+        return self._counted(self._dispatch(line))
+
+    def _dispatch(self, line: bytes) -> dict:
         try:
             message = decode_line(line)
         except ServeError as exc:
@@ -518,10 +537,8 @@ class TrajectoryServer:
                 session_str,
             )
         except ServeError as exc:
-            self.metrics.counter("requests_failed").inc()
             return error_response(op, exc.code, str(exc), session_str)
         except ReproError as exc:
-            self.metrics.counter("requests_failed").inc()
             return error_response(
                 op, "internal", f"{type(exc).__name__}: {exc}", session_str
             )

@@ -17,16 +17,26 @@ def net() -> RoadNetwork:
     )
 
 
+def each_road(net: RoadNetwork) -> list:
+    """Every road once, though both of its ends list it."""
+    return [road for u, near in net.roads.items() for v, road in near.items() if u < v]
+
+
 class TestGrid:
     def test_node_and_edge_counts(self, net):
-        assert net.graph.number_of_nodes() == 80
+        assert len(net.roads) == 80
         # 4-neighbour lattice: rows*(cols-1) + cols*(rows-1) edges.
-        assert net.graph.number_of_edges() == 8 * 9 + 10 * 7
+        assert len(each_road(net)) == 8 * 9 + 10 * 7
 
     def test_connected(self, net):
-        import networkx as nx
-
-        assert nx.is_connected(net.graph)
+        start = next(iter(net.roads))
+        reached, frontier = {start}, [start]
+        while frontier:
+            for neighbour in net.roads[frontier.pop()]:
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    frontier.append(neighbour)
+        assert reached == set(net.roads)
 
     def test_positions_jittered_but_near_lattice(self, net):
         pos = net.node_position((3, 4))
@@ -34,27 +44,25 @@ class TestGrid:
         assert np.all(np.abs(pos - nominal) <= 0.2 * 500.0 + 1e-9)
 
     def test_road_classes_and_limits(self, net):
-        classes = {data["road_class"] for _, _, data in net.graph.edges(data=True)}
+        classes = {road.road_class for road in each_road(net)}
         assert classes == {"local", "arterial", "highway"}
-        for _, _, data in net.graph.edges(data=True):
-            assert data["speed_limit"] == SPEED_LIMITS_MS[data["road_class"]]
-            assert data["travel_time"] == pytest.approx(
-                data["length"] / data["speed_limit"]
-            )
+        for road in each_road(net):
+            assert road.speed_limit == SPEED_LIMITS_MS[road.road_class]
+            assert road.travel_time == pytest.approx(road.length / road.speed_limit)
 
     def test_highway_row_edges_are_highways(self, net):
         for c in range(9):
-            assert net.graph.edges[(0, c), (0, c + 1)]["road_class"] == "highway"
+            assert net.roads[(0, c)][(0, c + 1)].road_class == "highway"
 
     def test_arterial_spacing(self, net):
         # Row 4 is arterial (4 % 4 == 0 and not a highway row).
-        assert net.graph.edges[(4, 0), (4, 1)]["road_class"] == "arterial"
-        assert net.graph.edges[(1, 0), (1, 1)]["road_class"] == "local"
+        assert net.roads[(4, 0)][(4, 1)].road_class == "arterial"
+        assert net.roads[(1, 0)][(1, 1)].road_class == "local"
 
     def test_deterministic_under_seed(self):
         a = RoadNetwork.grid(5, 5, 400.0, np.random.default_rng(3))
         b = RoadNetwork.grid(5, 5, 400.0, np.random.default_rng(3))
-        for node in a.graph.nodes:
+        for node in a.roads:
             np.testing.assert_allclose(a.node_position(node), b.node_position(node))
 
     def test_validation(self):

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.registry import make_compressor
 from repro.exceptions import ServeError
+from repro.serve.faults import Fault, FaultInjector
 from repro.serve.protocol import MAX_LINE_BYTES, encode_message
 from repro.serve.server import TrajectoryServer
 from repro.storage.store import TrajectoryStore
@@ -370,6 +371,71 @@ class TestStatsObservability:
         stats = run_async(scenario())
         assert stats["queue_depth"] == 0.0
         assert stats["metrics"]["gauges"]["queue_depth"] == 0.0
+
+
+class TestRequestsFailed:
+    """``requests_failed`` counts every ``ok: false`` reply exactly once."""
+
+    def test_each_refused_line_counts(self):
+        server = TrajectoryServer()
+        try:
+            lines = [
+                encode_message({"op": "warp"}),
+                b"{this is not json\n",
+                encode_message({"op": "append", "session": "ghost",
+                                "fix": [0.0, 0.0, 0.0]}),
+                encode_message({"op": "open", "session": "a",
+                                "spec": "opw-tr:epsilon=30"}),
+                encode_message({"op": "append", "session": "a", "seq": 3,
+                                "fix": [0.0, 0.0, 0.0]}),
+                encode_message({"op": "close", "session": "ghost"}),
+            ]
+            answers = [server._handle_line(line)["ok"] for line in lines]
+            assert answers == [False, False, False, True, False, False]
+            assert server.stats()["requests_failed"] == 5
+        finally:
+            server.close()
+
+    def test_oversize_and_wal_failure_replies_count_once(self, tmp_path):
+        faults = FaultInjector().set(
+            "wal.fsync",
+            Fault(at=2, error=OSError("injected fsync failure"), once=False),
+        )
+
+        async def exchange(server, lines):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port, limit=MAX_LINE_BYTES
+            )
+            replies = []
+            for line in lines:
+                writer.write(line)
+                await writer.drain()
+                reply = await reader.readline()
+                if reply:
+                    replies.append(json.loads(reply))
+            writer.close()
+            await writer.wait_closed()
+            return replies
+
+        async def scenario():
+            async with running_server(wal_dir=tmp_path / "wal", faults=faults) as server:
+                replies = await exchange(server, [b"x" * (MAX_LINE_BYTES + 100) + b"\n"])
+                replies += await exchange(server, [
+                    encode_message({"op": "open", "session": "a",
+                                    "spec": "opw-tr:epsilon=30"}),
+                    encode_message({"op": "append", "session": "a", "seq": 1,
+                                    "fix": [0.0, 0.0, 0.0]}),
+                    encode_message({"op": "append", "session": "a", "seq": 2,
+                                    "fix": [1.0, 5.0, 0.0]}),
+                ])
+                return replies, server.stats()["requests_failed"]
+
+        replies, failed = run_async(scenario())
+        # The oversize reply, the acknowledgement whose fsync failed and
+        # the append refused by the failed log; the open succeeded.
+        codes = [reply.get("code") for reply in replies]
+        assert codes == ["bad-request", None, "wal-failure", "wal-failure"]
+        assert failed == 3
 
 
 class TestMidBatchDisconnect:

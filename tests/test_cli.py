@@ -304,10 +304,18 @@ class TestImportFootprint:
 
     def test_cli_import_skips_generator_and_experiments(self):
         """Every ``repro serve`` process, router and fleet worker imports
-        the CLI; the synthetic-data generator (networkx) and the
-        experiment harness must stay out of that import."""
+        the CLI; the synthetic-data generator and the experiment harness
+        must stay out of that import."""
         loaded = _loaded_in_fresh_interpreter(
             "import repro.cli", ("networkx", "repro.datagen", "repro.experiments")
+        )
+        assert loaded == []
+
+    def test_generator_routes_without_networkx(self):
+        """The synthetic trips are routed by ``repro.datagen``'s own
+        planner, so generating and evaluating them loads no networkx."""
+        loaded = _loaded_in_fresh_interpreter(
+            "import repro.datagen, repro.experiments", ("networkx",)
         )
         assert loaded == []
 
