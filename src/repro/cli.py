@@ -22,8 +22,8 @@ Exposes the library's everyday operations without writing code:
 * ``query`` — position/window/nearest/summaries queries over compressed
   records, against a ``.rsto`` store file or a live server (see
   ``docs/QUERYING.md``);
-* ``serve-chaos`` — fault-injection harness proving the serve tier's
-  crash recovery (WAL replay, torn tails, SIGKILL);
+* ``serve-chaos`` — process-level fault injection proving the serve
+  tier's crash recovery (a SIGKILLed server, a SIGKILLed fleet worker);
 * ``obs dump`` — export metrics (from a live server's ``stats`` verb or
   a metrics JSON file) as Prometheus text exposition or JSON (see
   ``docs/OBSERVABILITY.md``).
@@ -60,7 +60,7 @@ _FIGURE_IDS = ("fig07", "fig08", "fig09", "fig10", "fig11")
 #: ``repro.experiments.dataset.DATASET_SEED``.
 _DATASET_SEED = 2004
 #: The fault-injection scenarios (``repro.serve.chaos.SCENARIOS``).
-_CHAOS_SCENARIOS = ("fsync-fail", "torn-tail", "disconnect", "sigkill", "worker-kill")
+_CHAOS_SCENARIOS = ("sigkill", "worker-kill")
 
 #: The ``compress``/``report`` parameter flags. Each one that is set
 #: passes as the spec key of its own name when the algorithm accepts it.
@@ -472,13 +472,45 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
     return 0
 
 
+async def _serve_until_signalled(service, banner, report) -> None:
+    """Start ``service``, print ``banner()``, serve until SIGTERM or
+    SIGINT, then drain it and print ``report`` of what the drain
+    returned (the ``serve`` command's one loop, for a server and a
+    router alike)."""
+    import asyncio
+    import contextlib
+    import signal
+
+    loop = asyncio.get_running_loop()
+    drain_requested = asyncio.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        with contextlib.suppress(NotImplementedError, RuntimeError):
+            loop.add_signal_handler(signum, drain_requested.set)
+    await service.start()
+    print(banner(), flush=True)
+    serving = asyncio.create_task(service.serve_forever())
+    waiter = asyncio.create_task(drain_requested.wait())
+    try:
+        await asyncio.wait({serving, waiter}, return_when=asyncio.FIRST_COMPLETED)
+    finally:
+        serving.cancel()
+        waiter.cancel()
+        with contextlib.suppress(asyncio.CancelledError):
+            await serving
+    print(report(await service.drain()), flush=True)
+
+
+def _serving_paths(args: argparse.Namespace) -> str:
+    """The banner's store and WAL suffix."""
+    where = f" (store: {args.store})" if args.store else ""
+    return where + (f" (wal: {args.wal})" if args.wal else "")
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.workers > 1:
         return _cmd_serve_sharded(args)
 
     import asyncio
-    import contextlib
-    import signal
 
     from repro.serve.server import TrajectoryServer
 
@@ -498,47 +530,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         degrade_budget_factor=args.degrade_factor,
     )
 
-    async def _run() -> None:
-        loop = asyncio.get_running_loop()
-        drain_requested = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError, RuntimeError):
-                loop.add_signal_handler(signum, drain_requested.set)
-        await server.start()
+    def banner() -> str:
+        serving = f"serving on {server.host}:{server.port}{_serving_paths(args)}"
         recovery = server.recovery
         if recovery and recovery["sessions"]:
-            print(
-                f"recovered {recovery['sessions']} session(s), "
-                f"{recovery['fixes']} fixes from the WAL",
-                flush=True,
-            )
-        where = f" (store: {args.store})" if args.store else ""
-        wal = f" (wal: {args.wal})" if args.wal else ""
-        print(f"serving on {server.host}:{server.port}{where}{wal}", flush=True)
-        serving = asyncio.create_task(server.serve_forever())
-        waiter = asyncio.create_task(drain_requested.wait())
-        try:
-            await asyncio.wait(
-                {serving, waiter}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            serving.cancel()
-            waiter.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await serving
-        # Graceful drain on SIGTERM/SIGINT: stop accepting, flush every
-        # live session into the store, persist, exit 0 — a supervisor's
-        # TERM loses nothing.
-        drained = await server.drain()
+            return (f"recovered {recovery['sessions']} session(s), "
+                    f"{recovery['fixes']} fixes from the WAL\n{serving}")
+        return serving
+
+    def report(drained: dict) -> str:
+        # Graceful drain on SIGTERM/SIGINT: every live session flushed
+        # into the store, persisted, exit 0 — a supervisor's TERM loses
+        # nothing.
         failed = drained["failed"]
-        print(
-            f"drained: {len(drained['flushed'])} session(s) flushed"
-            + (f", {failed} failed" if failed else ""),
-            flush=True,
-        )
+        return (f"drained: {len(drained['flushed'])} session(s) flushed"
+                + (f", {failed} failed" if failed else ""))
 
     try:
-        asyncio.run(_run())
+        asyncio.run(_serve_until_signalled(server, banner, report))
     finally:
         # Abnormal exits land here with sessions possibly un-flushed:
         # persist the store file (atomic) and release the locks. After
@@ -557,8 +566,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     are merged into the ``--store`` file — and exits 0.
     """
     import asyncio
-    import contextlib
-    import signal
 
     from repro.serve.pool import WorkerPool
     from repro.serve.router import ServeRouter
@@ -583,44 +590,22 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
         shed_inflight=args.shed_inflight,
     )
 
-    async def _run() -> None:
-        loop = asyncio.get_running_loop()
-        drain_requested = asyncio.Event()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            with contextlib.suppress(NotImplementedError, RuntimeError):
-                loop.add_signal_handler(signum, drain_requested.set)
-        await router.start()
-        where = f" (store: {args.store})" if args.store else ""
-        wal = f" (wal: {args.wal})" if args.wal else ""
-        print(
-            f"serving on {router.host}:{router.port}{where}{wal} "
-            f"[router, {args.workers} workers]",
-            flush=True,
-        )
-        serving = asyncio.create_task(router.serve_forever())
-        waiter = asyncio.create_task(drain_requested.wait())
-        try:
-            await asyncio.wait(
-                {serving, waiter}, return_when=asyncio.FIRST_COMPLETED
-            )
-        finally:
-            serving.cancel()
-            waiter.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await serving
-        drained = await router.drain()
+    def report(drained: dict) -> str:
         merged = drained["merged"]
         exit_codes = drained["workers"]
         clean = sum(1 for code in exit_codes.values() if code == 0)
         summary = f"drained: {clean}/{len(exit_codes)} worker(s) exited cleanly"
         if merged is not None:
-            summary += (
-                f", merged {merged['n_objects']} object(s) into {merged['path']}"
-            )
-        print(summary, flush=True)
+            summary += f", merged {merged['n_objects']} object(s) into {merged['path']}"
+        return summary
 
     try:
-        asyncio.run(_run())
+        asyncio.run(_serve_until_signalled(
+            router,
+            lambda: f"serving on {router.host}:{router.port}{_serving_paths(args)} "
+                    f"[router, {args.workers} workers]",
+            report,
+        ))
     except KeyboardInterrupt:
         pass
     return 0
@@ -630,19 +615,9 @@ def _cmd_serve_chaos(args: argparse.Namespace) -> int:
     import json
 
     from repro.io_util import write_atomic_json
-    from repro.serve.chaos import SCENARIOS, run_chaos
+    from repro.serve.chaos import run_chaos
 
-    names = tuple(args.scenario) if args.scenario else SCENARIOS
-    if args.fast:
-        names = tuple(
-            name for name in names if name not in ("sigkill", "worker-kill")
-        )
-        if not names:
-            raise ReproError(
-                "--fast skips the sigkill and worker-kill scenarios, which "
-                "leaves none of the selected ones to run"
-            )
-    report = run_chaos(names, seed=args.seed, n_fixes=args.fixes)
+    report = run_chaos(args.scenario, seed=args.seed, n_fixes=args.fixes)
     for entry in report["scenarios"]:
         verdict = "PASS" if entry["passed"] else "FAIL"
         extras = {k: v for k, v in entry.items() if k not in ("name", "passed")}
@@ -1157,17 +1132,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "serve-chaos",
-        help="fault-injection harness: prove the serve tier's crash "
+        help="process-level fault injection: prove the serve tier's crash "
              "recovery (see docs/SERVING.md)",
     )
     p_chaos.add_argument(
         "--scenario", action="append", default=None, choices=_CHAOS_SCENARIOS,
         help="run only this scenario (repeatable; default all)",
-    )
-    p_chaos.add_argument(
-        "--fast", action="store_true",
-        help="skip the sigkill/worker-kill scenarios (they spawn real "
-             "server subprocesses)",
     )
     p_chaos.add_argument("--fixes", type=_positive_int, default=120,
                          help="fixes streamed per scenario")

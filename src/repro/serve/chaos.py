@@ -1,29 +1,25 @@
-"""Deterministic fault-injection harness for the crash-safe serve tier.
+"""Process-level fault injection for the crash-safe serve tier.
 
-Each scenario makes one specific thing go wrong — an fsync that starts
-failing, a WAL tail torn mid-record, a client that dies between frames,
-a server SIGKILLed at a seeded-random offset — and then proves the
-durability contract the hard way:
+Each scenario kills real processes while a client streams: ``sigkill``
+SIGKILLs a ``repro serve`` subprocess at a seeded-random
+acknowledgement and restarts it over the same WAL directory;
+``worker-kill`` SIGKILLs one worker of a router-fronted fleet and lets
+the pool respawn it. Either way the client reconnects, resumes and
+finishes, and the durability contract is proven the hard way:
 
-    **the acknowledged prefix of every session is recovered
-    byte-identical to an uninterrupted run.**
+    **every session's stored stream is byte-identical to an
+    uninterrupted run over all its fixes.**
 
-"Byte-identical" is checked at the float level: the recovered session
-is closed and its stored trajectory's ``t``/``x``/``y`` values must
-equal, exactly, what the same online compressor produces over the same
-raw prefix in one uninterrupted pass. Because streaming compression is
-deterministic, any divergence — a lost batch, a double-applied batch, a
-reordering — shows up as a failed comparison, not a heuristic.
+"Byte-identical" is checked at the float level: the stored
+trajectory's ``t``/``x``/``y`` values must equal, exactly, what the same
+online compressor produces over the same fixes in one uninterrupted
+pass. Because streaming compression is deterministic, any divergence —
+a lost batch, a double-applied batch, a reordering — shows up as a
+failed comparison, not a heuristic.
 
-Recovery is allowed to restore slightly *more* than was acknowledged
-(a batch can be durable before its ack is written — the classic WAL
-window), so each scenario asserts the recovered raw count ``k`` lies in
-``[acked, sent]`` and compares against the reference prefix of exactly
-``k`` fixes.
-
-Run everything via ``repro serve-chaos`` (the ``sigkill`` and
-``worker-kill`` scenarios spawn real server subprocesses and take
-seconds; skip them with ``--fast``), or through pytest:
+In-process faults (failed commits, torn WAL tails, lost acks) are the
+rules of the model in ``tests/serve/test_serve_model.py``. Run these
+scenarios via ``repro serve-chaos`` or through pytest:
 ``pytest -m chaos``.
 """
 
@@ -39,13 +35,10 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.exceptions import ReproError, ServeError
-from repro.serve.client import DurableServeClient, ServeClient
-from repro.serve.faults import Fault, FaultInjector
+from repro.exceptions import ReproError
+from repro.serve.client import DurableServeClient
 from repro.serve.pool import WorkerPool
-from repro.serve.protocol import encode_message
 from repro.serve.router import ServeRouter
-from repro.serve.server import TrajectoryServer
 from repro.serve.wal import scan_wal
 from repro.storage.store import TrajectoryStore
 from repro.streaming.registry import make_online_compressor
@@ -62,7 +55,7 @@ __all__ = [
 ]
 
 #: Scenario registry, in the order ``repro serve-chaos`` runs them.
-SCENARIOS = ("fsync-fail", "torn-tail", "disconnect", "sigkill", "worker-kill")
+SCENARIOS = ("sigkill", "worker-kill")
 
 #: Compressor under test; opening-window with a mid-size tolerance so
 #: batches regularly both retain and discard points.
@@ -124,275 +117,20 @@ def _store_round_trip(selection: list[Fix]) -> list[Fix]:
     return _stored_points(store, "reference")
 
 
-def _assert_prefix_identical(
-    *,
-    spec: str,
-    fixes: list[Fix],
-    recovered_raw: int,
-    acked_raw: int,
-    sent_raw: int,
-    stored: list[Fix],
-    detail: dict,
+def _assert_stored_identical(
+    spec: str, fixes: list[Fix], stored: list[Fix], detail: dict
 ) -> None:
     """The harness's core assertion (see the module docstring).
 
     Raises:
         AssertionError: the durability contract was violated.
     """
-    detail.update(
-        acked_raw=acked_raw, sent_raw=sent_raw, recovered_raw=recovered_raw
-    )
-    assert acked_raw <= recovered_raw <= sent_raw, (
-        f"recovered {recovered_raw} raw fixes, outside the legal window "
-        f"[acked={acked_raw}, sent={sent_raw}]"
-    )
-    expected = _store_round_trip(reference_selection(spec, fixes[:recovered_raw]))
+    expected = _store_round_trip(reference_selection(spec, fixes))
     detail.update(stored_points=len(stored), expected_points=len(expected))
     assert stored == expected, (
-        f"stored selection diverged from the uninterrupted reference over "
-        f"the recovered prefix ({len(stored)} vs {len(expected)} points)"
+        f"stored selection diverged from the uninterrupted reference "
+        f"({len(stored)} vs {len(expected)} points)"
     )
-
-
-# --------------------------------------------------------------------- #
-# In-process scenarios
-# --------------------------------------------------------------------- #
-
-
-async def _scenario_fsync_fail(base: Path, seed: int, n_fixes: int) -> dict:
-    """The disk breaks mid-run: fsync fails on the K-th group commit.
-
-    The server must refuse the failing append (and everything after it)
-    instead of acking writes of unknown durability, and a restart must
-    recover exactly the state of the last *successful* commit or later.
-    """
-    rng = random.Random(seed)
-    fixes = make_fixes(n_fixes, seed)
-    batch = 10
-    fail_at = rng.randint(3, max(3, n_fixes // batch - 2))
-    wal_dir, store_path = base / "wal", base / "chaos.rsto"
-    faults = FaultInjector().set(
-        "wal.fsync", Fault(at=fail_at, error=OSError("injected fsync failure"),
-                           once=False)
-    )
-    server = TrajectoryServer(
-        port=0, wal_dir=wal_dir, store_path=store_path, faults=faults
-    )
-    await server.start()
-    acked = 0
-    failure_code = None
-    try:
-        async with await ServeClient.connect(server.host, server.port) as client:
-            await client.open("chaos", SPEC)
-            for start in range(0, n_fixes, batch):
-                chunk = fixes[start : start + batch]
-                try:
-                    await client.append("chaos", chunk, seq=start // batch + 1)
-                except ServeError as exc:
-                    failure_code = exc.code
-                    break
-                acked += len(chunk)
-            assert failure_code == "wal-failure", (
-                f"expected the broken disk to surface as wal-failure, "
-                f"got {failure_code!r}"
-            )
-            # The dirty session was discarded: the server must not keep
-            # serving state it cannot promise to recover.
-            try:
-                await client.append("chaos", [fixes[-1]])
-                raise AssertionError("append after WAL failure was accepted")
-            except ServeError as exc:
-                assert exc.code in ("unknown-session", "wal-failure"), exc.code
-    finally:
-        server.abort()
-
-    # Restart over the same WAL directory: replay, close, compare.
-    restarted = TrajectoryServer(port=0, wal_dir=wal_dir, store_path=store_path)
-    await restarted.start()
-    try:
-        assert restarted.recovery is not None
-        assert restarted.recovery["sessions"] == 1, restarted.recovery
-        session = restarted.manager.get("chaos")
-        recovered_raw = session.n_fixes_in
-        restarted.manager.close("chaos")
-        detail: dict = {"fail_at_commit": fail_at, "failure_code": failure_code}
-        _assert_prefix_identical(
-            spec=SPEC,
-            fixes=fixes,
-            recovered_raw=recovered_raw,
-            acked_raw=acked,
-            sent_raw=acked + batch,  # the failing batch may be on disk
-            stored=_stored_points(restarted.store, "chaos"),
-            detail=detail,
-        )
-        return detail
-    finally:
-        await restarted.stop()
-
-
-async def _scenario_torn_tail(base: Path, seed: int, n_fixes: int) -> dict:
-    """A crash tears the last WAL record mid-write — then a second crash.
-
-    Recovery must drop the damaged tail (it was never acknowledged —
-    fsync orders the lines), count what it dropped, and restore every
-    intact record. The scenario then keeps streaming into the recovered
-    session and crashes *again*: the second restart proves the damage
-    was physically truncated out of the old segment at the first
-    recovery — otherwise its scan would rediscover the torn line and
-    discard every batch acknowledged since (acknowledged-data loss).
-    """
-    fixes = make_fixes(n_fixes, seed)
-    batch = 10
-    first_batches = max(1, (n_fixes // batch) // 2)
-    split = first_batches * batch
-    wal_dir, store_path = base / "wal", base / "chaos.rsto"
-    server = TrajectoryServer(port=0, wal_dir=wal_dir, store_path=store_path)
-    await server.start()
-    acked = 0
-    try:
-        async with await ServeClient.connect(server.host, server.port) as client:
-            await client.open("chaos", SPEC)
-            for start in range(0, split, batch):
-                await client.append(
-                    "chaos", fixes[start : start + batch],
-                    seq=start // batch + 1,
-                )
-                acked += batch
-    finally:
-        server.abort()
-
-    # Tear the tail: a half-written record (valid CRC prefix length but
-    # truncated payload) followed by garbage the crash never ordered.
-    segments = sorted(wal_dir.glob("seg-*.wal"))
-    assert segments, "no WAL segment survived the run"
-    with segments[-1].open("ab") as handle:
-        handle.write(b'00000000 {"k":"a","s":"chaos","q":99')
-    dropped_expected = 1
-
-    restarted = TrajectoryServer(port=0, wal_dir=wal_dir, store_path=store_path)
-    await restarted.start()
-    try:
-        assert restarted.recovery is not None
-        detail: dict = {"dropped_lines": restarted.recovery["dropped_lines"]}
-        assert restarted.recovery["dropped_lines"] >= dropped_expected, (
-            f"torn tail was not counted: {restarted.recovery}"
-        )
-        assert restarted.manager.get("chaos").n_fixes_in == acked
-        # Keep streaming into the recovered session, every batch acked
-        # (and therefore WAL-durable) before the next goes out.
-        async with await ServeClient.connect(
-            restarted.host, restarted.port
-        ) as client:
-            resumed = await client.resume("chaos")
-            assert resumed["seq"] == first_batches, resumed
-            for start in range(split, n_fixes, batch):
-                await client.append(
-                    "chaos", fixes[start : start + batch],
-                    seq=start // batch + 1,
-                )
-                acked += min(batch, n_fixes - start)
-    finally:
-        restarted.abort()
-
-    # Second crash-restart over the same directory: everything acked in
-    # both lives must come back, and no stale damage may be re-counted.
-    second = TrajectoryServer(port=0, wal_dir=wal_dir, store_path=store_path)
-    await second.start()
-    try:
-        assert second.recovery is not None
-        detail["dropped_lines_second_restart"] = second.recovery["dropped_lines"]
-        assert second.recovery["dropped_lines"] == 0, (
-            f"first recovery left the torn tail on disk: {second.recovery}"
-        )
-        session = second.manager.get("chaos")
-        recovered_raw = session.n_fixes_in
-        second.manager.close("chaos")
-        _assert_prefix_identical(
-            spec=SPEC,
-            fixes=fixes,
-            recovered_raw=recovered_raw,
-            acked_raw=acked,
-            sent_raw=acked,
-            stored=_stored_points(second.store, "chaos"),
-            detail=detail,
-        )
-        return detail
-    finally:
-        await second.stop()
-
-
-async def _scenario_disconnect(base: Path, seed: int, n_fixes: int) -> dict:
-    """The client dies between frames; its ack is lost on the floor.
-
-    The reconnecting client must learn the truth via ``resume`` and
-    re-send the unacknowledged batch under the same sequence number —
-    the server deduplicates, and the final store holds every fix exactly
-    once.
-    """
-    fixes = make_fixes(n_fixes, seed)
-    batch = 10
-    wal_dir, store_path = base / "wal", base / "chaos.rsto"
-    server = TrajectoryServer(port=0, wal_dir=wal_dir, store_path=store_path)
-    await server.start()
-    try:
-        async with await ServeClient.connect(server.host, server.port) as client:
-            await client.open("chaos", SPEC)
-            await client.append("chaos", fixes[:batch], seq=1)
-
-        # Fire one append frame and slam the connection shut without
-        # reading the response — the server applies it, nobody hears.
-        reader, writer = await asyncio.open_connection(server.host, server.port)
-        flat = [v for fix in fixes[batch : 2 * batch] for v in fix]
-        writer.write(encode_message(
-            {"op": "append", "session": "chaos", "seq": 2, "fixes_flat": flat}
-        ))
-        await writer.drain()
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        # Wait (bounded) until the server has processed the orphan frame.
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            if server.manager.get("chaos").last_seq >= 2:
-                break
-            await asyncio.sleep(0.01)
-        assert server.manager.get("chaos").last_seq == 2, "orphan frame lost"
-
-        duplicates = 0
-        async with await ServeClient.connect(server.host, server.port) as client:
-            resumed = await client.resume("chaos")
-            assert resumed["seq"] == 2, resumed
-            # A correct client re-sends the batch it never got acked;
-            # the server replays the cached acknowledgement instead of
-            # applying it twice.
-            response = await client.append_response(
-                "chaos", fixes[batch : 2 * batch], seq=2
-            )
-            duplicates += bool(response.get("duplicate"))
-            assert response.get("duplicate") is True, response
-            for k in range(2, (n_fixes + batch - 1) // batch):
-                await client.append(
-                    "chaos",
-                    fixes[k * batch : (k + 1) * batch],
-                    seq=k + 1,
-                )
-            await client.close_session("chaos")
-
-        detail: dict = {"duplicates_replayed": duplicates}
-        _assert_prefix_identical(
-            spec=SPEC,
-            fixes=fixes,
-            recovered_raw=n_fixes,
-            acked_raw=n_fixes,
-            sent_raw=n_fixes,
-            stored=_stored_points(server.store, "chaos"),
-            detail=detail,
-        )
-        return detail
-    finally:
-        await server.stop()
 
 
 # --------------------------------------------------------------------- #
@@ -485,15 +223,7 @@ async def _scenario_sigkill(base: Path, seed: int, n_fixes: int) -> dict:
             "kill_after_batch": kill_after,
             "reconnects": reconnects,
         }
-        _assert_prefix_identical(
-            spec=SPEC,
-            fixes=fixes,
-            recovered_raw=n_fixes,
-            acked_raw=n_fixes,
-            sent_raw=n_fixes,
-            stored=_stored_points(store, "chaos"),
-            detail=detail,
-        )
+        _assert_stored_identical(SPEC, fixes, _stored_points(store, "chaos"), detail)
         # The drained close also truncated the WAL: nothing live remains.
         leftover = scan_wal(wal_dir)
         assert not leftover.live_sessions, (
@@ -610,15 +340,7 @@ async def _scenario_worker_kill(base: Path, seed: int, n_fixes: int) -> dict:
         assert detail["respawns"] >= 1, "the killed worker was never respawned"
         for sid, fixes in sessions.items():
             per_session: dict = {"owner": owners[sid]}
-            _assert_prefix_identical(
-                spec=SPEC,
-                fixes=fixes,
-                recovered_raw=n_fixes,
-                acked_raw=n_fixes,
-                sent_raw=n_fixes,
-                stored=_stored_points(store, sid),
-                detail=per_session,
-            )
+            _assert_stored_identical(SPEC, fixes, _stored_points(store, sid), per_session)
             detail["sessions"][sid] = per_session
         # Every session closed flushed-and-acked, so no shard's WAL may
         # still hold live state after the drain.
@@ -639,9 +361,6 @@ async def _scenario_worker_kill(base: Path, seed: int, n_fixes: int) -> dict:
 # --------------------------------------------------------------------- #
 
 _RUNNERS = {
-    "fsync-fail": _scenario_fsync_fail,
-    "torn-tail": _scenario_torn_tail,
-    "disconnect": _scenario_disconnect,
     "sigkill": _scenario_sigkill,
     "worker-kill": _scenario_worker_kill,
 }

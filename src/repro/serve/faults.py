@@ -1,8 +1,9 @@
 """Deterministic fault injection for the serve tier's durability paths.
 
-The chaos harness (:mod:`repro.serve.chaos`) needs to make specific,
-repeatable things go wrong — an fsync that fails on exactly the third
-commit, a process that dies the instant a record hits the page cache.
+The serve-path model (``tests/serve/test_serve_model.py``) needs to make
+specific, repeatable things go wrong — an fsync that fails on exactly
+the third commit, a process that dies the instant a record hits the
+page cache.
 Production code never pays for this: the hot paths hold an optional
 :class:`FaultInjector` and call :meth:`FaultInjector.fire` at named
 points only when one was injected.

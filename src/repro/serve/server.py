@@ -114,8 +114,8 @@ class TrajectoryServer:
             (0 < factor < 1; default 0.5).
         shard: name of this worker's shard when it serves as part of a
             ``--workers N`` fleet; purely a label, echoed in ``stats``.
-        faults: optional fault injector threaded into the WAL (chaos
-            harness only).
+        faults: optional fault injector threaded into the WAL (tests
+            only).
         metrics: shared registry; one is created if absent.
         clock: monotonic time source, injectable for tests.
     """
@@ -366,13 +366,17 @@ class TrajectoryServer:
     async def _sweep_loop(self) -> None:
         while True:
             await asyncio.sleep(self.sweep_interval_s)
-            self.manager.evict_idle()
-            if self.wal is not None and self.wal.pending_records:
-                # Evictions stage truncation markers outside any request;
-                # commit them here so idle segments can be reclaimed. A
-                # failure sticks and the next request reports it.
-                with contextlib.suppress(ServeError):
-                    await self.wal.commit()
+            await self._sweep()
+
+    async def _sweep(self) -> None:
+        """One idle sweep: evict (and flush) the idle sessions."""
+        self.manager.evict_idle()
+        if self.wal is not None and self.wal.pending_records:
+            # Evictions stage truncation markers outside any request;
+            # commit them here so idle segments can be reclaimed. A
+            # failure sticks and the next request reports it.
+            with contextlib.suppress(ServeError):
+                await self.wal.commit()
 
     # ------------------------------------------------------------------ #
     # Connection handling
@@ -448,29 +452,7 @@ class TrajectoryServer:
             else:
                 depth.dec()
                 response = self._handle_line(item)
-            if self.wal is not None and self.wal.pending_records:
-                # Durability barrier: whatever this request staged must
-                # hit disk before its acknowledgement leaves the process.
-                # Concurrent connections parked on the same commit ride
-                # one fsync (group commit).
-                try:
-                    await self.wal.commit()
-                except WalError as exc:
-                    # Unknown durability: anything staged since the last
-                    # good commit may or may not be on disk. Discard the
-                    # affected sessions (a restart recovers their durable
-                    # prefix) and tell the client instead of acking.
-                    for sid in self.wal.dirty_sessions():
-                        self.manager.discard(sid)
-                    failure = error_response(
-                        response.get("op"),
-                        exc.code,
-                        str(exc),
-                        response.get("session"),
-                    )
-                    # A refusal was counted when it was answered; an
-                    # acknowledgement turned into one counts now.
-                    response = self._counted(failure) if response["ok"] else failure
+            response = await self._durable(response)
             if write_ok:
                 try:
                     writer.write(encode_message(response))
@@ -503,6 +485,34 @@ class TrajectoryServer:
     def _handle_line(self, line: bytes) -> dict:
         """Answer one request line (a refusal counts in ``requests_failed``)."""
         return self._counted(self._dispatch(line))
+
+    async def _durable(self, response: dict) -> dict:
+        """The durability barrier: ``response`` once what was staged is
+        on disk, or the refusal that replaces it.
+
+        Whatever a request staged must hit disk before its
+        acknowledgement leaves the process; concurrent connections
+        parked on the same commit ride one fsync (group commit). Once a
+        commit has failed nothing more can be staged, so later replies
+        (``stats``, queries, ``resume``) pass as they are.
+        """
+        if self.wal is not None and self.wal.pending_records and not self.wal.failed:
+            try:
+                await self.wal.commit()
+            except WalError as exc:
+                # Unknown durability: anything staged since the last
+                # good commit may or may not be on disk. Discard the
+                # affected sessions (a restart recovers their durable
+                # prefix) and tell the client instead of acking.
+                for sid in self.wal.dirty_sessions():
+                    self.manager.discard(sid)
+                failure = error_response(
+                    response.get("op"), exc.code, str(exc), response.get("session")
+                )
+                # A refusal was counted when it was answered; an
+                # acknowledgement turned into one counts now.
+                return self._counted(failure) if response["ok"] else failure
+        return response
 
     def _dispatch(self, line: bytes) -> dict:
         try:

@@ -397,10 +397,13 @@ class SessionManager:
         """Admit one new session compressing under ``spec``.
 
         Raises:
-            ServeError: bad arguments (``bad-request``), an id already
-                live (``duplicate-session``), an unusable spec
-                (``bad-spec``), or the admission limit (``rejected``).
+            ServeError: a failed WAL (``wal-failure``, before anything
+                is evicted or renegotiated), bad arguments
+                (``bad-request``), an id already live
+                (``duplicate-session``), an unusable spec (``bad-spec``),
+                or the admission limit (``rejected``).
         """
+        self._check_writable()
         if not isinstance(session_id, str) or not session_id:
             raise ServeError(
                 f"open needs a non-empty string session id, got {session_id!r}",
@@ -435,14 +438,19 @@ class SessionManager:
             raise ServeError(str(exc), code="bad-spec") from exc
         if self.wal is not None:
             # Staged before the session exists: recovery must know the
-            # spec of every session it may be asked to replay. A failed
-            # WAL refuses the open (WalError carries code "wal-failure").
+            # spec of every session it may be asked to replay.
             self.wal.stage_open(session_id, spec)
         session = Session(session_id, spec, compressor, self._clock())
         self._sessions[session_id] = session
         self.metrics.counter("sessions_opened").inc()
         self.metrics.counter(f"sessions_opened.{session.algorithm}").inc()
         return session
+
+    def _check_writable(self) -> None:
+        """Refuse a state change once the WAL has failed: what a restart
+        recovers is fixed at the last good commit."""
+        if self.wal is not None:
+            self.wal.check_writable()
 
     def get(self, session_id: object) -> Session:
         """The live session for ``session_id``.
@@ -561,9 +569,11 @@ class SessionManager:
           ``bad-seq`` (the client must RESUME and re-send).
 
         Raises:
-            ServeError: ``unknown-session``, ``bad-seq``, or
-                ``wal-failure`` when the configured WAL has failed.
+            ServeError: ``wal-failure`` when the configured WAL has
+                failed (before the session is looked up),
+                ``unknown-session`` or ``bad-seq``.
         """
+        self._check_writable()
         session = self.get(session_id)
         if seq is None:
             seq = session.last_seq + 1
@@ -626,10 +636,13 @@ class SessionManager:
             fixes the close decided.
 
         Raises:
-            ServeError: ``unknown-session``, or ``storage`` when the
-                store refuses the insert (the session is gone either
-                way — its window cannot be reopened).
+            ServeError: ``wal-failure`` when the configured WAL has
+                failed (the session stays live and out of the store),
+                ``unknown-session``, or ``storage`` when the store
+                refuses the insert (the session is gone either way — its
+                window cannot be reopened).
         """
+        self._check_writable()
         session = self.get(session_id)
         del self._sessions[session.object_id]
         record, tail = self._flush(session)

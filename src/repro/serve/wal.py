@@ -20,7 +20,10 @@ second writer on the same directory is refused instead of recovering
 and appending beside the first. Records carry the session id, so recovery
 demultiplexes the shared log back into per-session streams:
 
-* ``{"k": "o", "s": id, "spec": spec}`` — session opened;
+* ``{"k": "o", "s": id, "spec": spec}`` — session opened. It
+  supersedes an earlier session of the same id that has no flush marker
+  (one whose flush the store refused): the server opens an id only
+  once its earlier session has left the live table;
 * ``{"k": "a", "s": id, "q": seq, "f": "<base64>"}`` — one
   acknowledged append batch with its monotonic per-session sequence
   number and the flat ``(t, x, y)`` array packed as little-endian
@@ -33,7 +36,9 @@ demultiplexes the shared log back into per-session streams:
 * ``{"k": "f", "s": id}`` — the session was durably flushed into the
   store; its earlier records are dead. A segment is deleted only when
   every session recorded in it has such a marker — truncation strictly
-  *after* a durable store flush.
+  *after* a durable store flush — and, when it holds markers, only
+  after the older segments holding the records they retire: a rescan
+  must never find those records without their marker.
 
 A crash can only damage bytes past the last fsync, i.e. records that
 were never acknowledged, so recovery drops everything from the first
@@ -141,6 +146,9 @@ class WalScan:
     segment_indices: "list[int]" = field(default_factory=list)
     #: Per segment index: session ids with live (unflushed) records.
     live_by_segment: "dict[int, set[str]]" = field(default_factory=dict)
+    #: Per segment index: the older segments holding records that its
+    #: flush markers retire (it must outlive them).
+    pinned_by: "dict[int, set[int]]" = field(default_factory=dict)
     records: int = 0
     #: Lines discarded from the first damaged line onward (torn tail).
     dropped_lines: int = 0
@@ -190,6 +198,19 @@ def _unpack_fixes(payload: object) -> "list[Fix] | None":
     except (ValueError, struct.error):
         return None
     return _fixes_from_flat(flat) if len(flat) % 3 == 0 else None
+
+
+def _retire(
+    sid: str, index: int, live: "dict[int, set[str]]", pins: "dict[int, set[int]]"
+) -> None:
+    """Segment ``index`` holds ``sid``'s flush marker: ``sid`` is live
+    nowhere now, and ``index`` is pinned by the older segments that
+    held its records."""
+    for other, members in live.items():
+        if sid in members:
+            members.discard(sid)
+            if other != index:
+                pins.setdefault(index, set()).add(other)
 
 
 def scan_wal(directory: "str | Path") -> WalScan:
@@ -254,10 +275,7 @@ def scan_wal(directory: "str | Path") -> WalScan:
                 continue
             if kind == "o":
                 scan.records += 1
-                spec = record.get("spec")
-                existing = scan.sessions.get(sid)
-                if existing is None or existing.flushed:
-                    scan.sessions[sid] = RecoveredSession(sid, str(spec))
+                scan.sessions[sid] = RecoveredSession(sid, str(record.get("spec")))
                 live.add(sid)
             elif kind == "a":
                 seq = record.get("q")
@@ -294,13 +312,9 @@ def scan_wal(directory: "str | Path") -> WalScan:
                 session = scan.sessions.get(sid)
                 if session is not None:
                     session.flushed = True
-                for members in scan.live_by_segment.values():
-                    members.discard(sid)
+                _retire(sid, index, scan.live_by_segment, scan.pinned_by)
             else:
                 scan.records += 1
-    for index in list(scan.live_by_segment):
-        if not scan.live_by_segment[index]:
-            del scan.live_by_segment[index]
     return scan
 
 
@@ -323,7 +337,7 @@ class WalWriter:
         directory: the WAL directory (created if absent).
         segment_bytes: rotate the active segment past this size.
         durable: fsync on commit; ``False`` keeps the format (tests).
-        faults: optional :class:`FaultInjector` for the chaos harness.
+        faults: optional :class:`FaultInjector` (tests only).
 
     Raises:
         WalError: another writer holds the directory's lock.
@@ -349,22 +363,23 @@ class WalWriter:
             self.recovered = scan_wal(self.directory)
             self._recovered_sessions = len(self.recovered.live_sessions)
             self._repair_torn_tail()
+            #: Per existing segment: sessions with live records in it.
             self._live: "dict[int, set[str]]" = {
-                index: set(members)
-                for index, members in self.recovered.live_by_segment.items()
+                index: set(self.recovered.live_by_segment.get(index, ()))
+                for index in self.recovered.segment_indices
             }
+            self._pins = {
+                index: set(pins) for index, pins in self.recovered.pinned_by.items()
+            }
+            self._segment_index = max(self.recovered.segment_indices, default=0) + 1
             # Segments every session has flushed out of are already dead —
             # as are segments that postdate a torn tail (the scan discarded
             # their records, so their bytes must not survive either).
-            for index in self.recovered.segment_indices:
-                if index not in self._live:
-                    self._unlink_segment(index)
+            self._reclaim()
         except BaseException:
             # A writer that failed to open holds no lock.
             self._owner.close()
             raise
-        last = max(self.recovered.segment_indices, default=0)
-        self._segment_index = last + 1
         self._segment_written = 0
         self._handle: "object | None" = None  # BinaryIO of active segment
         self._pending: "list[tuple[str, str, dict]]" = []
@@ -439,7 +454,8 @@ class WalWriter:
         """
         return set(self._dirty)
 
-    def _check_failed(self) -> None:
+    def check_writable(self) -> None:
+        """Raise :exc:`~repro.exceptions.WalError` once a commit failed."""
         if self._failed is not None:
             raise WalError(f"write-ahead log is failed: {self._failed}")
 
@@ -447,7 +463,7 @@ class WalWriter:
         # Serialisation is deferred to commit time so it runs in the
         # commit's worker thread, off the event loop (the request hot
         # path only appends a tuple here).
-        self._check_failed()
+        self.check_writable()
         self._pending.append((kind, session_id, record))
         self._staged_records += 1
         self._dirty.add(session_id)
@@ -493,7 +509,7 @@ class WalWriter:
             WalError: the write or fsync failed — now and on every
                 later call (sticky; see the module docstring).
         """
-        self._check_failed()
+        self.check_writable()
         target = self._staged_records
         if self._committed_records >= target:
             return
@@ -503,7 +519,7 @@ class WalWriter:
             # closed handle and write records for sessions the server
             # just discarded — records a restart would then replay even
             # though their clients were told the commit failed.
-            self._check_failed()
+            self.check_writable()
             if self._committed_records >= target:
                 return
             group, staged = self._take_group()
@@ -523,7 +539,7 @@ class WalWriter:
         commit lock (the server only calls it after the event loop's
         connection tasks are torn down).
         """
-        self._check_failed()
+        self.check_writable()
         if self._committed_records >= self._staged_records:
             return
         group, staged = self._take_group()
@@ -594,8 +610,7 @@ class WalWriter:
             else:
                 live.add(sid)
         for sid in flushed:
-            for members in self._live.values():
-                members.discard(sid)
+            _retire(sid, self._segment_index, self._live, self._pins)
         self._segment_written += written
         self._committed_records = staged
         self._commits += 1
@@ -604,18 +619,22 @@ class WalWriter:
         # stay dirty — a set-wide clear here would let the server keep
         # serving their in-memory state even if the next commit fails.
         self._dirty = {sid for _, sid, _ in self._pending}
-        # Truncate: drop whole segments once nothing in them is live.
-        for index in [i for i, m in self._live.items() if not m]:
-            if index != self._segment_index:
-                del self._live[index]
-                self._unlink_segment(index)
         if self._segment_written >= self.segment_bytes:
             self._close_handle()
-            if not self._live.get(self._segment_index):
-                self._live.pop(self._segment_index, None)
-                self._unlink_segment(self._segment_index)
             self._segment_index += 1
             self._segment_written = 0
+        self._reclaim()
+
+    def _reclaim(self) -> None:
+        """Truncate: unlink every closed segment nothing needs, oldest
+        first — one with no live session, pinned by no surviving
+        segment."""
+        for index in sorted(self._live):
+            if (index != self._segment_index and not self._live[index]
+                    and not self._pins.get(index, set()) & self._live.keys()):
+                del self._live[index]
+                self._pins.pop(index, None)
+                self._unlink_segment(index)
 
     def _unlink_segment(self, index: int) -> None:
         try:

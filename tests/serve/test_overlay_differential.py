@@ -86,30 +86,28 @@ def _stages(seed: int) -> Iterator[TrajectoryServer]:
         yield server
 
 
-def _overlays(server: TrajectoryServer) -> dict[str, Trajectory]:
+def _overlays(server: TrajectoryServer) -> dict[str, tuple[Trajectory, float | None]]:
+    """Each live session with a retained fix: its snapshot and its
+    margin (the compressor's bound, no codec slack)."""
     out = {}
     for key in server.manager.live_session_ids:
-        snapshot = server.manager.sessions[key].snapshot()
+        session = server.manager.sessions[key]
+        snapshot = session.snapshot()
         if snapshot is not None:
-            out[key] = snapshot
+            out[key] = (snapshot, session.compressor.sync_error_bound())
     return out
 
 
-def _live_bound(server: TrajectoryServer, key: str) -> float | None:
-    """A live session's margin: the compressor's bound, no codec slack."""
-    return server.manager.sessions[key].compressor.sync_error_bound()
-
-
-def _brute_window(server, t0, t1, box, mode) -> list[str]:
-    overlays = _overlays(server)
-    hits = {key for key in brute_window(server.store, t0, t1, box, mode)
+def merged_window(store, overlays, t0, t1, box, mode) -> list[str]:
+    """Brute window over ``store`` with the ``overlays`` shadowing it."""
+    hits = {key for key in brute_window(store, t0, t1, box, mode)
             if key not in overlays}
-    for key, snapshot in overlays.items():
+    for key, (snapshot, bound) in overlays.items():
         if box is None:
             hit = snapshot.t[0] <= t1 and snapshot.t[-1] >= t0
         else:
             effective = effective_query_box(
-                box, SimpleNamespace(sync_error_bound_m=_live_bound(server, key)), mode
+                box, SimpleNamespace(sync_error_bound_m=bound), mode
             )
             hit = effective is not None and window_hit(snapshot, t0, t1, effective)
         if hit:
@@ -117,12 +115,12 @@ def _brute_window(server, t0, t1, box, mode) -> list[str]:
     return sorted(hits)
 
 
-def _brute_nearest(server, x, y, when, k) -> list[tuple[str, float]]:
-    overlays = _overlays(server)
+def merged_nearest(store, overlays, x, y, when, k) -> list[tuple[str, float]]:
+    """Brute k-nearest over ``store`` with the ``overlays`` shadowing it."""
     ranked = [(distance, key) for key, distance in brute_nearest(
-        server.store, x, y, when, k=len(server.store)
+        store, x, y, when, k=len(store)
     ) if key not in overlays]
-    for key, snapshot in overlays.items():
+    for key, (snapshot, _) in overlays.items():
         if snapshot.covers_time(when):
             position = snapshot.position_at(when)
             ranked.append((float(np.hypot(*(position - np.array([x, y])))), key))
@@ -130,16 +128,16 @@ def _brute_nearest(server, x, y, when, k) -> list[tuple[str, float]]:
     return [(key, distance) for distance, key in ranked[:k]]
 
 
-def _brute_position(server, key, when) -> dict | None:
-    """The live snapshot's answer if it covers ``when``, else the stored
+def merged_position(store, overlays, key, when) -> dict | None:
+    """The overlay's answer if it covers ``when``, else the stored
     record's, else ``None`` (not found)."""
-    snapshot = _overlays(server).get(key)
+    snapshot, bound = overlays.get(key, (None, None))
     if snapshot is not None and snapshot.covers_time(when):
-        source, bound = "live", _live_bound(server, key)
+        source = "live"
         position = snapshot.position_at(when)
-    elif key in server.store and server.store.get(key).covers_time(when):
-        source, bound = "stored", server.store.record(key).sync_error_bound_m
-        position = brute_position(server.store, key, when)
+    elif key in store and store.get(key).covers_time(when):
+        source, bound = "stored", store.record(key).sync_error_bound_m
+        position = brute_position(store, key, when)
     else:
         return None
     return {"source": source, "x": float(position[0]), "y": float(position[1]),
@@ -149,7 +147,7 @@ def _brute_position(server, key, when) -> dict | None:
 def _samples(server: TrajectoryServer) -> tuple[list[float], np.ndarray]:
     """Every stored and live sample time and position."""
     trajs = [server.store.get(key) for key in server.store.object_ids()]
-    trajs += list(_overlays(server).values())
+    trajs += [snapshot for snapshot, _ in _overlays(server).values()]
     times = sorted({float(v) for traj in trajs for v in traj.t})
     return times, np.vstack([traj.xy for traj in trajs])
 
@@ -175,7 +173,8 @@ def test_window_equals_the_brute_merge(seed):
                         message["bbox"] = [query_box.min_x, query_box.min_y,
                                            query_box.max_x, query_box.max_y]
                     answer = server._op_query(message)["objects"]
-                    assert answer == _brute_window(server, t0, t1, query_box, mode)
+                    assert answer == merged_window(server.store, _overlays(server),
+                                                   t0, t1, query_box, mode)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -191,7 +190,7 @@ def test_nearest_equals_the_brute_merge(seed):
             results = server._op_query({"op": "query", "query": "nearest",
                                         "x": x, "y": y, "t": when, "k": k})["results"]
             answer = [(entry["object"], entry["distance_m"]) for entry in results]
-            assert answer == _brute_nearest(server, x, y, when, k)
+            assert answer == merged_nearest(server.store, _overlays(server), x, y, when, k)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -207,7 +206,7 @@ def test_position_equals_the_brute_merge(seed):
             when = times[i] if rng.random() < 0.5 or i + 1 == len(times) \
                 else (times[i] + times[i + 1]) / 2
             message = {"op": "query", "query": "position", "object": key, "t": when}
-            expected = _brute_position(server, key, when)
+            expected = merged_position(server.store, _overlays(server), key, when)
             if expected is None:
                 with pytest.raises(ServeError) as refused:
                     server._op_query(message)

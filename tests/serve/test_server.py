@@ -36,20 +36,23 @@ pytestmark = pytest.mark.serve
 
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize(
-        "spec",
+        ("spec", "chunk"),
         [
-            "opw-tr:epsilon=35",
-            "opw-sp:epsilon=35,max_speed_error=4",
-            "nopw:epsilon=35",
+            pytest.param("opw-tr:epsilon=35", 25, id="opw-tr:epsilon=35"),
+            pytest.param("opw-sp:epsilon=35,max_speed_error=4", 25,
+                         id="opw-sp:epsilon=35,max_speed_error=4"),
+            pytest.param("nopw:epsilon=35", 25, id="nopw:epsilon=35"),
+            # One fix per request.
+            pytest.param("opw-tr:epsilon=35", 1, id="opw-tr:epsilon=35-chunk=1"),
         ],
     )
-    def test_served_stream_matches_batch(self, urban_trajectory, spec):
+    def test_served_stream_matches_batch(self, urban_trajectory, spec, chunk):
         fixes = fixes_of(urban_trajectory)
 
         async def scenario():
             async with running_server() as server:
                 return await stream_session(
-                    server, "urban", spec, fixes, chunk=25
+                    server, "urban", spec, fixes, chunk=chunk
                 )
 
         retained = run_async(scenario())
@@ -436,6 +439,41 @@ class TestRequestsFailed:
         codes = [reply.get("code") for reply in replies]
         assert codes == ["bad-request", None, "wal-failure", "wal-failure"]
         assert failed == 3
+
+
+class TestFailedWal:
+    def test_a_failed_log_still_answers_reads_and_refuses_writes(self, tmp_path):
+        """After an fsync failure, ``stats`` and queries are answered;
+        a ``close`` is refused before it touches the session or the
+        store, though nothing of its session was in the failed group."""
+        store_path = tmp_path / "fleet.rsto"
+        faults = FaultInjector().set(
+            "wal.fsync", Fault(at=3, error=OSError("injected fsync failure"), once=False)
+        )
+
+        async def scenario():
+            async with running_server(wal_dir=tmp_path / "wal", store_path=store_path,
+                                      faults=faults) as server:
+                async with connected(server) as client:
+                    await client.open("kept", "opw-tr:epsilon=30")  # commit 1
+                    await client.append("kept", [Fix(0.0, 0.0, 0.0)])  # commit 2
+                    with pytest.raises(ServeError) as failed:
+                        await client.open("doomed", "opw-tr:epsilon=30")
+                    stats = await client.stats()
+                    window = await client.request(
+                        {"op": "query", "query": "window", "t0": 0.0, "t1": 1.0})
+                    with pytest.raises(ServeError) as refused:
+                        await client.close_session("kept")
+                    return (failed.value.code, stats, window, refused.value.code,
+                            "kept" in server.manager, "kept" in server.store)
+
+        failed, stats, window, refused, live, stored = run_async(scenario())
+        assert failed == "wal-failure"
+        assert stats["wal"]["failed"] is True and stats["live_sessions"] == 1
+        assert window["ok"] is True and window["objects"] == ["kept"]
+        assert refused == "wal-failure"
+        assert live and not stored
+        assert "kept" not in TrajectoryStore.load(store_path)
 
 
 class TestMidBatchDisconnect:

@@ -9,9 +9,9 @@ an injected clock:
 * a rejected open, a degraded admission (``degrade_budget_floor``), an
   idle eviction and closes;
 * one query of each kind, and an unknown op;
-* the second server journals to a WAL (so ``wal`` is present, committed
-  after each line as the server's durability barrier does) and persists
-  a store file.
+* the second server journals to a WAL (so ``wal`` is present; each
+  line passes the server's durability barrier) and persists a store
+  file.
 
 Their ``stats`` payloads, and the fleet payloads that
 ``ServeRouter.stats`` merges from them (once with both shards, once
@@ -26,6 +26,7 @@ count is kept), and the WAL directory path. Regenerate with
 
 from __future__ import annotations
 
+import asyncio
 import json
 from pathlib import Path
 
@@ -64,10 +65,7 @@ def zigzag(t0: float, n: int, x0: float = 0.0) -> list[list[float]]:
 
 def send(server: TrajectoryServer, message: dict) -> dict:
     """One request line through the dispatch, then the durability barrier."""
-    response = server._handle_line(encode_message(message))
-    if server.wal is not None and server.wal.pending_records:
-        server.wal.commit_sync()
-    return response
+    return asyncio.run(server._durable(server._handle_line(encode_message(message))))
 
 
 QUERIES = (

@@ -1,6 +1,6 @@
 """Unit tests of the serve tier's write-ahead log.
 
-Covers the contract pieces the chaos scenarios lean on: group commit
+Covers the contract pieces the serve-path model leans on: group commit
 durability and coalescing, segment liveness/truncation, torn-tail
 recovery, sticky failure, and the scan's demultiplexing of a shared log
 back into per-session replay streams.
@@ -115,6 +115,22 @@ class TestStageAndCommit:
         assert not scan_wal(tmp_path).live_sessions
         # The flushed session's segments are deleted outright.
         assert list(tmp_path.glob("seg-*.wal")) == []
+
+    def test_a_marker_outlives_the_records_it_retires(self, tmp_path):
+        """A segment holding only ``a``'s flush marker is dead, but while
+        an older segment (kept by live ``b``) holds ``a``'s records, the
+        marker must stay: a scan without it finds ``a`` live again."""
+        wal = WalWriter(tmp_path, durable=False, segment_bytes=1)
+        wal.stage_open("a", "spec")
+        wal.stage_open("b", "spec")
+        wal.commit_sync()  # rotates after each commit
+        wal.stage_flushed("a")
+        wal.commit_sync()
+        wal.close()
+        for _ in range(2):  # a restart, then another
+            assert sorted(scan_wal(tmp_path).live_sessions) == ["b"]
+            WalWriter(tmp_path, durable=False).close()
+        assert sorted(scan_wal(tmp_path).live_sessions) == ["b"]
 
     def test_dead_segments_are_dropped_at_startup(self, tmp_path):
         wal = WalWriter(tmp_path, durable=False)
@@ -257,6 +273,20 @@ class TestRecoveryEdges:
         session = scan.live_sessions["a"]
         assert session.spec == "spec-two"
         assert session.n_fixes == 1
+
+    def test_a_reopened_id_supersedes_its_unflushed_session(self, tmp_path):
+        """An id reopened after its flush was refused (no marker) is
+        recovered as the new session, not as both merged."""
+        wal = WalWriter(tmp_path, durable=False)
+        wal.stage_open("a", "spec-one")
+        wal.stage_append("a", 1, fixes((0.0, 0.0, 0.0)))
+        wal.stage_open("a", "spec-two")
+        wal.stage_append("a", 1, fixes((5.0, 1.0, 1.0)))
+        wal.commit_sync()
+        wal.close()
+
+        session = scan_wal(tmp_path).live_sessions["a"]
+        assert (session.spec, session.n_fixes, session.last_seq) == ("spec-two", 1, 1)
 
 
 class TestStickyFailure:
